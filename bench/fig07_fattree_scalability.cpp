@@ -14,13 +14,6 @@
 /// timeout discipline). Knobs: MCNK_FIG7_MAXP (default 12),
 /// MCNK_TIME_LIMIT seconds (default 30).
 ///
-/// MCNK_FIG7_BLOCKED_JSON=<path> switches to the block-structured solver
-/// trajectory point (docs/ARCHITECTURE.md S13): the same FatTree family
-/// compiled with the Exact solver, monolithic vs SCC/DAG block
-/// elimination with RCM ordering. Reference equality of the two diagrams
-/// is enforced (nonzero exit on mismatch) and the JSON records wall time
-/// plus the elimination-op / fill-in counters of each configuration.
-///
 /// MCNK_FIG7_MODULAR_JSON=<path> switches to the multi-prime modular
 /// solver trajectory point (docs/ARCHITECTURE.md S14): the FatTree family
 /// plus a diamond-chain family (the Fig 10 topology, where the exact
@@ -134,102 +127,6 @@ int runGolden(unsigned MaxP) {
                 States, Prob.c_str());
   }
   return 0;
-}
-
-/// MCNK_FIG7_BLOCKED_JSON: the S13 blocked-solver trajectory point. Both
-/// engines are Exact, so the compiled diagrams must be reference-equal;
-/// the interesting deltas are the counters — on the (acyclic) FatTree
-/// forwarding chains the condensation is all singleton classes, so the
-/// blocked elimination does strictly less multiply-subtract work and
-/// creates no fill-in.
-int runBlocked(unsigned MaxP, const char *Path) {
-  std::printf("=== Fig 7 blocked-solver point: Exact monolithic vs "
-              "SCC/DAG blocks (RCM) ===\n");
-  std::printf("%4s %9s  %8s %8s  %11s %11s  %9s %9s  %7s %7s\n", "p",
-              "switches", "mono s", "blk s", "mono ops", "blk ops",
-              "mono fill", "blk fill", "blocks", "maxblk");
-  FailureModel Fail = FailureModel::iid(Rational(1, 1000));
-  std::string Points;
-  bool AllEqual = true;
-  for (unsigned P = 4; P <= MaxP; P += 2) {
-    topology::FatTreeLayout L;
-    topology::makeFatTree(P, L);
-    ast::Context Ctx;
-    ModelOptions O;
-    O.RoutingScheme = Scheme::F100;
-    O.Failures = Fail;
-    NetworkModel M = buildFatTreeModel(L, O, Ctx);
-
-    analysis::Verifier Mono; // Exact, monolithic solve.
-    WallTimer MonoTimer;
-    fdd::FddRef RM = Mono.compile(M.Program);
-    double MonoSec = MonoTimer.elapsed();
-    fdd::LoopSolveStats MS = Mono.manager().lastLoopStats();
-
-    analysis::Verifier Blk; // Exact, block-structured solve.
-    markov::SolverStructure S;
-    S.Blocked = true;
-    S.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
-    Blk.setSolverStructure(S);
-    WallTimer BlkTimer;
-    fdd::FddRef RB = Blk.compile(M.Program);
-    double BlkSec = BlkTimer.elapsed();
-    const fdd::LoopSolveStats &BS = Blk.manager().lastLoopStats();
-
-    bool Equal =
-        fdd::importFdd(Mono.manager(), fdd::exportFdd(Blk.manager(), RB)) ==
-        RM;
-    AllEqual = AllEqual && Equal;
-    if (!Equal)
-      std::fprintf(stderr,
-                   "MISMATCH: blocked compile differs from monolithic at "
-                   "p=%u\n",
-                   P);
-
-    std::printf("%4u %9u  %8.3f %8.3f  %11zu %11zu  %9zu %9zu  %7zu "
-                "%7zu\n",
-                P, L.numSwitches(), MonoSec, BlkSec, MS.EliminationOps,
-                BS.EliminationOps, MS.FillIn, BS.FillIn, BS.NumBlocks,
-                BS.MaxBlockSize);
-    std::fflush(stdout);
-
-    char Point[512];
-    std::snprintf(Point, sizeof(Point),
-                  "%s    {\"p\": %u, \"switches\": %u, "
-                  "\"solved_states\": %zu, "
-                  "\"mono_seconds\": %.6f, \"blocked_seconds\": %.6f, "
-                  "\"mono_elim_ops\": %zu, \"blocked_elim_ops\": %zu, "
-                  "\"mono_fill_in\": %zu, \"blocked_fill_in\": %zu, "
-                  "\"num_blocks\": %zu, \"max_block\": %zu}",
-                  Points.empty() ? "" : ",\n", P, L.numSwitches(),
-                  BS.NumSolved, MonoSec, BlkSec, MS.EliminationOps,
-                  BS.EliminationOps, MS.FillIn, BS.FillIn, BS.NumBlocks,
-                  BS.MaxBlockSize);
-    Points += Point;
-  }
-  std::printf(AllEqual
-                  ? "blocked solver: all points reference-equal\n"
-                  : "blocked solver: MISMATCH (see stderr)\n");
-
-  if (std::FILE *F = std::fopen(Path, "w")) {
-    std::fprintf(F,
-                 "{\n"
-                 "  \"name\": \"solver_blocked\",\n"
-                 "  \"model\": \"FatTree ECMP with iid 1/1000 link "
-                 "failures (Fig 7 family), Exact solver\",\n"
-                 "  \"engine\": \"SCC/DAG block elimination, RCM ordering "
-                 "(ARCHITECTURE S13)\",\n"
-                 "  \"reference_equal\": %s,\n"
-                 "  \"points\": [\n%s\n  ]\n"
-                 "}\n",
-                 AllEqual ? "true" : "false", Points.c_str());
-    std::fclose(F);
-    std::printf("wrote %s\n", Path);
-  } else {
-    std::fprintf(stderr, "error: cannot write %s\n", Path);
-    return 1;
-  }
-  return AllEqual ? 0 : 1;
 }
 
 /// One MCNK_FIG7_MODULAR_JSON point: compiles \p Program with the
@@ -356,9 +253,6 @@ int main() {
       Path && *Path)
     return runModular(std::min(MaxP, 6u),
                       envUnsigned("MCNK_FIG7_MODULAR_MAXK", 512), Path);
-  if (const char *Path = std::getenv("MCNK_FIG7_BLOCKED_JSON");
-      Path && *Path)
-    return runBlocked(std::min(MaxP, 6u), Path);
   if (envUnsigned("MCNK_GOLDEN", 0))
     return runGolden(std::min(MaxP, 6u));
   double Limit = envDouble("MCNK_TIME_LIMIT", 30.0);

@@ -19,8 +19,6 @@
 ///   MCNK_SWEEP_TABLE      run the per-scenario table (default 1)
 ///   MCNK_SWEEP_CACHE      run the cache sweep       (default 1)
 ///   MCNK_SWEEP_CACHE_JSON write the cache-sweep trajectory point here
-///   MCNK_SWEEP_BLOCKED    run the blocked-solver sweep (default 1)
-///   MCNK_SWEEP_BLOCKED_JSON write the blocked-sweep trajectory point here
 ///   MCNK_SWEEP_MODULAR    run the modular-solver sweep (default 1)
 ///   MCNK_SWEEP_MODULAR_JSON write the modular-sweep trajectory point here
 ///   MCNK_SWEEP_SIMPLIFY   run the simplify sweep     (default 1)
@@ -32,12 +30,6 @@
 /// the S15 verified simplifier (docs/ARCHITECTURE.md S15) in front of
 /// every compile — reference equality enforced against the plain sweep —
 /// and records the cache-hit-rate and wall-clock delta of the pre-pass.
-///
-/// The *blocked sweep* recompiles every registry scenario with the Exact
-/// solver, monolithic vs block-structured (SCC/DAG elimination with RCM
-/// ordering, docs/ARCHITECTURE.md S13), enforces reference equality of
-/// the two diagrams, and aggregates wall time plus the elimination-op /
-/// fill-in counters of each configuration.
 ///
 /// The *slice sweep* recompiles every registry scenario with the Exact
 /// solver under the S17 delivery-observation slice (docs/ARCHITECTURE.md
@@ -204,91 +196,6 @@ int main() {
                   V.manager().diagramSize(Ref),
                   S.LoopBearing ? LS.NumTransient : 0, Avg.toDouble());
       std::fflush(stdout);
-    }
-  }
-
-  // --- Blocked-solver sweep: Exact monolithic vs SCC/DAG blocks ---------
-  bool BlockedEqual = true;
-  if (envUnsigned("MCNK_SWEEP_BLOCKED", 1)) {
-    std::printf("\n=== Blocked-solver sweep (Exact): monolithic vs "
-                "SCC/DAG blocks (RCM) ===\n\n");
-    std::printf("%-24s %8s %8s %11s %11s %9s %7s %7s\n", "scenario",
-                "mono s", "blk s", "mono ops", "blk ops", "blk fill",
-                "blocks", "maxblk");
-    double MonoTotal = 0, BlkTotal = 0;
-    std::size_t MonoOps = 0, BlkOps = 0, MonoFill = 0, BlkFill = 0;
-    for (const gen::ScenarioSpec &Spec : gen::buildRegistry(O)) {
-      ast::Context Ctx;
-      gen::Scenario S = Spec.Build(Ctx);
-
-      analysis::Verifier Mono; // Exact, monolithic solve.
-      WallTimer MonoTimer;
-      fdd::FddRef RM = Mono.compile(S.Program);
-      double MonoSec = MonoTimer.elapsed();
-      fdd::LoopSolveStats MS = Mono.manager().lastLoopStats();
-
-      analysis::Verifier Blk; // Exact, block-structured solve.
-      markov::SolverStructure SS;
-      SS.Blocked = true;
-      SS.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
-      Blk.setSolverStructure(SS);
-      WallTimer BlkTimer;
-      fdd::FddRef RB = Blk.compile(S.Program);
-      double BlkSec = BlkTimer.elapsed();
-      const fdd::LoopSolveStats &BS = Blk.manager().lastLoopStats();
-
-      if (fdd::importFdd(Mono.manager(), fdd::exportFdd(Blk.manager(), RB)) !=
-          RM) {
-        BlockedEqual = false;
-        std::fprintf(stderr,
-                     "MISMATCH: blocked compile of %s is not "
-                     "reference-equal to the monolithic engine\n",
-                     S.Name.c_str());
-      }
-      MonoTotal += MonoSec;
-      BlkTotal += BlkSec;
-      MonoOps += MS.EliminationOps;
-      BlkOps += BS.EliminationOps;
-      MonoFill += MS.FillIn;
-      BlkFill += BS.FillIn;
-      std::printf("%-24s %8.3f %8.3f %11zu %11zu %9zu %7zu %7zu\n",
-                  S.Name.c_str(), MonoSec, BlkSec, MS.EliminationOps,
-                  BS.EliminationOps, BS.FillIn, BS.NumBlocks,
-                  BS.MaxBlockSize);
-      std::fflush(stdout);
-    }
-    std::printf("totals: mono %.3f s / %zu ops / %zu fill, blocked %.3f s "
-                "/ %zu ops / %zu fill; %s\n",
-                MonoTotal, MonoOps, MonoFill, BlkTotal, BlkOps, BlkFill,
-                BlockedEqual ? "all scenarios reference-equal"
-                             : "MISMATCH (see stderr)");
-
-    if (const char *Path = std::getenv("MCNK_SWEEP_BLOCKED_JSON");
-        Path && *Path) {
-      if (std::FILE *F = std::fopen(Path, "w")) {
-        std::fprintf(F,
-                     "{\n"
-                     "  \"name\": \"scenario_sweep_blocked\",\n"
-                     "  \"model\": \"scenario registry (ring max N%u), "
-                     "Exact solver\",\n"
-                     "  \"engine\": \"SCC/DAG block elimination, RCM "
-                     "ordering (ARCHITECTURE S13)\",\n"
-                     "  \"reference_equal\": %s,\n"
-                     "  \"mono_seconds\": %.6f,\n"
-                     "  \"blocked_seconds\": %.6f,\n"
-                     "  \"mono_elim_ops\": %zu,\n"
-                     "  \"blocked_elim_ops\": %zu,\n"
-                     "  \"mono_fill_in\": %zu,\n"
-                     "  \"blocked_fill_in\": %zu\n"
-                     "}\n",
-                     RingN, BlockedEqual ? "true" : "false", MonoTotal,
-                     BlkTotal, MonoOps, BlkOps, MonoFill, BlkFill);
-        std::fclose(F);
-        std::printf("wrote %s\n", Path);
-      } else {
-        std::fprintf(stderr, "error: cannot write %s\n", Path);
-        return 1;
-      }
     }
   }
 
@@ -464,7 +371,7 @@ int main() {
   }
 
   if (!envUnsigned("MCNK_SWEEP_CACHE", 1))
-    return BlockedEqual && ModularEqual && SliceEqual ? 0 : 1;
+    return ModularEqual && SliceEqual ? 0 : 1;
 
   // --- Cache sweep: cold engine vs shared compile cache -----------------
   std::vector<SweepMember> Members = buildSweepMembers(O);
@@ -588,8 +495,5 @@ int main() {
       }
     }
   }
-  return AllEqual && BlockedEqual && ModularEqual && SimplifyEqual &&
-                 SliceEqual
-             ? 0
-             : 1;
+  return AllEqual && ModularEqual && SimplifyEqual && SliceEqual ? 0 : 1;
 }

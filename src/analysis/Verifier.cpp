@@ -52,8 +52,17 @@ FddRef Verifier::compile(const ast::Node *Program, bool Parallel,
 }
 
 ThreadPool &Verifier::compilePool(unsigned Threads) {
-  if (Pool && Threads != 0 && Pool->numThreads() != Threads)
-    Pool.reset();
+  if (Pool && Threads != 0 && Pool->numThreads() != Threads) {
+    // The solver structure may point at the pool being replaced; re-point
+    // it so the next multi-block loop solve does not run on a freed pool.
+    markov::SolverStructure S = Manager.solverStructure();
+    bool Follows = S.Pool == Pool.get();
+    Pool = std::make_unique<ThreadPool>(Threads);
+    if (Follows) {
+      S.Pool = Pool.get();
+      Manager.setSolverStructure(S);
+    }
+  }
   if (!Pool)
     Pool = std::make_unique<ThreadPool>(Threads);
   return *Pool;

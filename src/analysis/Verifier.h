@@ -49,12 +49,13 @@ public:
 
   fdd::FddManager &manager() { return Manager; }
 
-  /// Solver structure for while-loop solves (blocked SCC/DAG elimination
-  /// with fill-reducing ordering; docs/ARCHITECTURE.md S13). Forwards to
-  /// the manager: the structure applies to every subsequent compile, and
-  /// parallel-`case` worker managers inherit it. Pass a structure whose
-  /// Pool is this verifier's compilePool() to solve independent blocks
-  /// concurrently.
+  /// Solver structure for while-loop solves (fill-reducing ordering and
+  /// block pool of the SCC/DAG elimination; docs/ARCHITECTURE.md S13).
+  /// Forwards to the manager: the structure applies to every subsequent
+  /// compile, and parallel-`case` worker managers inherit it. Pass a
+  /// structure whose Pool is this verifier's compilePool() to solve
+  /// independent blocks concurrently; when compilePool() later replaces
+  /// that pool, the structure follows it to the new one.
   void setSolverStructure(const markov::SolverStructure &S) {
     Manager.setSolverStructure(S);
   }

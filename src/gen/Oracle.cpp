@@ -165,12 +165,44 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
         std::make_unique<analysis::Verifier>(markov::SolverKind::Exact);
     ExactVerifier = OwnedExact.get();
   }
+  // Every engine solves loops per SCC block (ARCHITECTURE S13); the
+  // per-block metrics must sum (or, for MaxBlockSize, max) to the
+  // run's totals.
+  auto CheckStatSums = [&C](const fdd::LoopSolveStats &LS,
+                            const std::string &Mode) {
+    std::size_t States = 0, QEntries = 0, Ops = 0, Fill = 0, Largest = 0;
+    for (const markov::BlockMetrics &B : LS.Blocks) {
+      States += B.NumStates;
+      QEntries += B.NumQEntries;
+      Ops += B.EliminationOps;
+      Fill += B.FillIn;
+      Largest = std::max(Largest, B.NumStates);
+    }
+    C.check(LS.Blocks.size() == LS.NumBlocks && States == LS.NumSolved &&
+                QEntries == LS.NumSolvedQ && Ops == LS.EliminationOps &&
+                Fill == LS.FillIn && Largest == LS.MaxBlockSize,
+            "per-block solver stats do not sum to the totals (" + Mode +
+                ")");
+  };
+
   analysis::Verifier &VExact = *ExactVerifier;
   analysis::Verifier VDirect(markov::SolverKind::Direct);
   analysis::Verifier VIter(markov::SolverKind::Iterative);
   fdd::FddRef E = VExact.compile(Program);
+  CheckStatSums(VExact.manager().lastLoopStats(), "exact");
   fdd::FddRef D = VDirect.compile(Program);
+  CheckStatSums(VDirect.manager().lastLoopStats(), "direct");
   fdd::FddRef I = VIter.compile(Program);
+  CheckStatSums(VIter.manager().lastLoopStats(), "iterative");
+  // Direct(float) with a fill-reducing ordering inside each block agrees
+  // with the natural order only up to elimination-order ulps, so it is
+  // held to the float tolerance like the other float engines.
+  analysis::Verifier VDirectOrdered(markov::SolverKind::Direct);
+  markov::SolverStructure Ordered;
+  Ordered.Ordering = linalg::OrderingKind::MinimumDegree;
+  VDirectOrdered.setSolverStructure(Ordered);
+  fdd::FddRef DO = VDirectOrdered.compile(Program);
+  CheckStatSums(VDirectOrdered.manager().lastLoopStats(), "direct ordered");
   if (O.CheckParallel) {
     C.check(VExact.compile(Program, true, O.ParallelThreads) == E,
             "serial vs parallel compilation differ (exact solver)");
@@ -191,6 +223,11 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
     C.check(std::fabs(DelDirect - Expected) <= O.Tolerance,
             "direct(float) delivery " + std::to_string(DelDirect) +
                 " != exact " + DelExact.toString() + Where);
+    double DelOrdered = VDirectOrdered.deliveryProbability(DO, In).toDouble();
+    C.check(std::fabs(DelOrdered - Expected) <= O.Tolerance,
+            "direct(float, min-degree order) delivery " +
+                std::to_string(DelOrdered) + " != exact " +
+                DelExact.toString() + Where);
     double DelIter = VIter.deliveryProbability(I, In).toDouble();
     C.check(std::fabs(DelIter - Expected) <= O.Tolerance,
             "iterative delivery " + std::to_string(DelIter) + " != exact " +
@@ -329,17 +366,6 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
             "all-fields slice changed the compiled diagram");
 
     fdd::PortableFdd Sliced = fdd::exportFdd(VS.manager(), SE);
-    if (O.CheckBlocked) {
-      analysis::Verifier VB(markov::SolverKind::Exact);
-      markov::SolverStructure SS;
-      SS.Blocked = true;
-      SS.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
-      VB.setSolverStructure(SS);
-      VB.setSlice(&Ctx, ast::ObservationSet::delivery());
-      C.check(fdd::importFdd(VB.manager(), Sliced) == VB.compile(Program),
-              "sliced blocked compile is not reference-equal to the "
-              "sliced monolithic compile");
-    }
     if (O.CheckModular) {
       analysis::Verifier VM(markov::SolverKind::ModularExact);
       VM.setSlice(&Ctx, ast::ObservationSet::delivery());
@@ -367,77 +393,14 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
     }
   }
 
-  // --- Block-structured solver cross-checks (ARCHITECTURE S13) ----------
-  // The exact blocked solve computes the unique rational solution of the
-  // same system as the monolithic one, so the compiled diagrams must be
-  // reference-equal — serial and with block tasks on a worker pool. The
-  // Direct(float) blocked solve only agrees up to elimination-order ulps,
-  // so it is held to the float tolerance like any other float engine.
-  // Shared by the blocked and modular sections: per-block metrics must sum
-  // (or, for ReconstructionBits, max) to the run's totals.
-  auto CheckStatSums = [&C](const fdd::LoopSolveStats &LS,
-                            const std::string &Mode) {
-    std::size_t States = 0, QEntries = 0, Ops = 0, Fill = 0, Largest = 0;
-    for (const markov::BlockMetrics &B : LS.Blocks) {
-      States += B.NumStates;
-      QEntries += B.NumQEntries;
-      Ops += B.EliminationOps;
-      Fill += B.FillIn;
-      Largest = std::max(Largest, B.NumStates);
-    }
-    C.check(LS.Blocks.size() == LS.NumBlocks && States == LS.NumSolved &&
-                QEntries == LS.NumSolvedQ && Ops == LS.EliminationOps &&
-                Fill == LS.FillIn && Largest == LS.MaxBlockSize,
-            "per-block solver stats do not sum to the totals (" + Mode +
-                ")");
-  };
-
-  if (O.CheckBlocked) {
-    fdd::PortableFdd Mono = fdd::exportFdd(VExact.manager(), E);
-    for (bool Parallel : {false, true}) {
-      if (Parallel && !O.CheckParallel)
-        continue;
-      analysis::Verifier VB(markov::SolverKind::Exact);
-      markov::SolverStructure SS;
-      SS.Blocked = true;
-      SS.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
-      if (Parallel)
-        SS.Pool = &VB.compilePool(O.ParallelThreads);
-      VB.setSolverStructure(SS);
-      fdd::FddRef B = VB.compile(Program);
-      const std::string Mode =
-          Parallel ? "exact blocked, parallel" : "exact blocked, serial";
-      C.check(fdd::importFdd(VB.manager(), Mono) == B,
-              Mode + " compile is not reference-equal to the monolithic "
-                     "exact engine");
-      CheckStatSums(VB.manager().lastLoopStats(), Mode);
-    }
-
-    analysis::Verifier VBD(markov::SolverKind::Direct);
-    markov::SolverStructure SS;
-    SS.Blocked = true;
-    SS.Ordering = linalg::OrderingKind::MinimumDegree;
-    VBD.setSolverStructure(SS);
-    fdd::FddRef BD = VBD.compile(Program);
-    CheckStatSums(VBD.manager().lastLoopStats(), "direct blocked");
-    for (const Packet &In : Inputs) {
-      double Del = VBD.deliveryProbability(BD, In).toDouble();
-      double Expected = VExact.deliveryProbability(E, In).toDouble();
-      C.check(std::fabs(Del - Expected) <= O.Tolerance,
-              "direct blocked delivery " + std::to_string(Del) +
-                  " != exact " + std::to_string(Expected) + " on input " +
-                  renderPacket(Ctx, In));
-    }
-  }
-
   // --- Modular exact solver cross-checks (ARCHITECTURE S14) -------------
   // The multi-prime engine recovers the same unique rational solution as
   // Rational elimination (every reconstruction is re-verified against
   // fresh primes, with a Rational fallback when the prime budget runs
   // out), so it is held to strict reference equality in EVERY
-  // configuration: serial, parallel-case, blocked serial/pooled (block
-  // tasks and per-prime tasks composing on one engine), and cache-backed
-  // cold and hit paths.
+  // configuration: serial, parallel-case, SCC blocks on a worker pool
+  // (block tasks and per-prime tasks composing on one engine), and
+  // cache-backed cold and hit paths.
   if (O.CheckModular) {
     fdd::PortableFdd Mono = fdd::exportFdd(VExact.manager(), E);
 
@@ -446,28 +409,22 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
     C.check(fdd::importFdd(VM.manager(), Mono) == M,
             "modular serial compile is not reference-equal to the "
             "Rational exact engine");
+    CheckStatSums(VM.manager().lastLoopStats(), "modular serial");
     if (O.CheckParallel)
       C.check(VM.compile(Program, true, O.ParallelThreads) == M,
               "modular parallel compile differs from the serial modular "
               "compile");
 
-    for (bool Parallel : {false, true}) {
-      if (Parallel && !O.CheckParallel)
-        continue;
-      analysis::Verifier VMB(markov::SolverKind::ModularExact);
+    if (O.CheckParallel) {
+      analysis::Verifier VMP(markov::SolverKind::ModularExact);
       markov::SolverStructure SS;
-      SS.Blocked = true;
       SS.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
-      if (Parallel)
-        SS.Pool = &VMB.compilePool(O.ParallelThreads);
-      VMB.setSolverStructure(SS);
-      fdd::FddRef B = VMB.compile(Program);
-      const std::string Mode =
-          Parallel ? "modular blocked, parallel" : "modular blocked, serial";
-      C.check(fdd::importFdd(VMB.manager(), Mono) == B,
-              Mode + " compile is not reference-equal to the Rational "
-                     "exact engine");
-      CheckStatSums(VMB.manager().lastLoopStats(), Mode);
+      SS.Pool = &VMP.compilePool(O.ParallelThreads);
+      VMP.setSolverStructure(SS);
+      C.check(fdd::importFdd(VMP.manager(), Mono) == VMP.compile(Program),
+              "modular pooled compile is not reference-equal to the "
+              "Rational exact engine");
+      CheckStatSums(VMP.manager().lastLoopStats(), "modular pooled");
     }
 
     {

@@ -1,18 +1,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Absorption probabilities A = (I - Q)^{-1} R (Thm 4.7) via the three
-/// engines: exact rational elimination, sparse-LU over double, and
-/// Neumann iteration. The monolithic paths live here; the SCC-blocked
-/// paths (docs/ARCHITECTURE.md S13) are in BlockSolve.cpp and share this
-/// file's pruning and elimination kernels so their operation counts are
-/// directly comparable.
+/// The per-system pieces of the absorption solve A = (I - Q)^{-1} R
+/// (Thm 4.7): pruning of states that never absorb, the exact engine's
+/// sparse rational Gauss-Jordan kernel, and the Direct engine's ordered
+/// sparse-LU kernel. The solve structure that runs them block by block
+/// (docs/ARCHITECTURE.md S13) is in BlockSolve.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "markov/Absorbing.h"
 
-#include "linalg/Solve.h"
 #include "linalg/SparseLU.h"
 
 #include <cassert>
@@ -163,67 +161,6 @@ bool markov::detail::eliminateRationalSystem(
   return true;
 }
 
-bool markov::solveAbsorptionExact(const AbsorbingChain &Chain,
-                                  DenseMatrix<Rational> &Out,
-                                  const SolverStructure &Structure,
-                                  SolveMetrics *Metrics) {
-  if (Structure.Blocked)
-    return detail::solveAbsorptionExactBlocked(Chain, Out, Structure,
-                                               Metrics);
-  std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
-  ChainPruning Pruned = pruneUnreachableStates(Chain);
-  std::size_t NK = Pruned.NumKept;
-
-  Out = DenseMatrix<Rational>(NT, NA);
-  if (Metrics)
-    *Metrics = SolveMetrics();
-  if (NK == 0)
-    return true;
-
-  std::vector<std::map<std::size_t, Rational>> Rows(NK);
-  std::vector<std::vector<Rational>> Rhs(NK,
-                                         std::vector<Rational>(NA));
-  std::size_t NumKeptQ = 0;
-  for (std::size_t K = 0; K < NK; ++K)
-    Rows[K][K] = Rational(1);
-  for (const RationalTriplet &E : Chain.QEntries) {
-    assert(E.Row < NT && E.Col < NT && "Q entry out of range");
-    if (E.Value.isZero() || !Pruned.CanReach[E.Row] ||
-        !Pruned.CanReach[E.Col])
-      continue;
-    ++NumKeptQ;
-    Rational &Cell =
-        Rows[Pruned.Compact[E.Row]][Pruned.Compact[E.Col]];
-    Cell -= E.Value;
-    if (Cell.isZero())
-      Rows[Pruned.Compact[E.Row]].erase(Pruned.Compact[E.Col]);
-  }
-  for (const RationalTriplet &E : Chain.REntries) {
-    assert(E.Row < NT && E.Col < NA && "R entry out of range");
-    if (Pruned.CanReach[E.Row])
-      Rhs[Pruned.Compact[E.Row]][E.Col] += E.Value;
-  }
-
-  std::size_t Ops = 0, Fill = 0;
-  if (!detail::eliminateRationalSystem(Rows, Rhs, Ops, Fill))
-    return false;
-
-  for (std::size_t K = 0; K < NK; ++K)
-    for (std::size_t C = 0; C < NA; ++C)
-      Out.at(Pruned.Original[K], C) = Rhs[K][C];
-
-  if (Metrics) {
-    Metrics->NumSolved = NK;
-    Metrics->NumSolvedQ = NumKeptQ;
-    Metrics->NumBlocks = 1;
-    Metrics->MaxBlockSize = NK;
-    Metrics->EliminationOps = Ops;
-    Metrics->FillIn = Fill;
-    Metrics->Blocks.push_back({NK, NumKeptQ, Ops, Fill});
-  }
-  return true;
-}
-
 bool markov::detail::luSolveOrdered(std::size_t N,
                                     const std::vector<Triplet> &QTriplets,
                                     DenseMatrix<double> &Rhs,
@@ -272,79 +209,6 @@ bool markov::detail::luSolveOrdered(std::size_t N,
     LU.solve(Col);
     for (std::size_t I = 0; I < N; ++I)
       Rhs.at(I, J) = Col[Permute ? Inverse[I] : I];
-  }
-  return true;
-}
-
-bool markov::solveAbsorptionDouble(const AbsorbingChain &Chain,
-                                   DenseMatrix<double> &Out,
-                                   SolverKind Kind,
-                                   const SolverStructure &Structure,
-                                   SolveMetrics *Metrics) {
-  assert(Kind != SolverKind::Exact && Kind != SolverKind::ModularExact &&
-         "use solveAbsorptionExact / solveAbsorptionModular");
-  if (Structure.Blocked && Kind == SolverKind::Direct)
-    return detail::solveAbsorptionDoubleBlocked(Chain, Out, Structure,
-                                                Metrics);
-  std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
-  ChainPruning Pruned = pruneUnreachableStates(Chain);
-  std::size_t NK = Pruned.NumKept;
-
-  Out = DenseMatrix<double>(NT, NA);
-  if (Metrics)
-    *Metrics = SolveMetrics();
-  if (NK == 0)
-    return true;
-
-  std::vector<Triplet> QT;
-  QT.reserve(Chain.QEntries.size());
-  std::size_t NumKeptQ = 0;
-  for (const RationalTriplet &E : Chain.QEntries)
-    if (!E.Value.isZero() && Pruned.CanReach[E.Row] &&
-        Pruned.CanReach[E.Col]) {
-      ++NumKeptQ;
-      QT.push_back({Pruned.Compact[E.Row], Pruned.Compact[E.Col],
-                    E.Value.toDouble()});
-    }
-
-  DenseMatrix<double> R(NK, NA);
-  for (const RationalTriplet &E : Chain.REntries)
-    if (Pruned.CanReach[E.Row])
-      R.at(Pruned.Compact[E.Row], E.Col) += E.Value.toDouble();
-
-  std::size_t Ops = 0, Fill = 0;
-  if (Kind == SolverKind::Direct) {
-    // Assemble I - Q and factor once; back-solve per absorbing column.
-    if (!detail::luSolveOrdered(NK, QT, R, Structure.Ordering, Ops, Fill))
-      return false;
-  } else {
-    // Iterative: x = Qx + r per absorbing column.
-    SparseMatrix Q = SparseMatrix::fromTriplets(NK, NK, QT);
-    std::vector<double> Col(NK), X;
-    for (std::size_t J = 0; J < NA; ++J) {
-      for (std::size_t I = 0; I < NK; ++I)
-        Col[I] = R.at(I, J);
-      std::size_t Iterations = linalg::neumannSolve(Q, Col, X);
-      if (Iterations == 0)
-        return false;
-      Ops += Iterations * Q.numNonZeros();
-      for (std::size_t I = 0; I < NK; ++I)
-        R.at(I, J) = X[I];
-    }
-  }
-
-  for (std::size_t K = 0; K < NK; ++K)
-    for (std::size_t C = 0; C < NA; ++C)
-      Out.at(Pruned.Original[K], C) = R.at(K, C);
-
-  if (Metrics) {
-    Metrics->NumSolved = NK;
-    Metrics->NumSolvedQ = NumKeptQ;
-    Metrics->NumBlocks = 1;
-    Metrics->MaxBlockSize = NK;
-    Metrics->EliminationOps = Ops;
-    Metrics->FillIn = Fill;
-    Metrics->Blocks.push_back({NK, NumKeptQ, Ops, Fill});
   }
   return true;
 }

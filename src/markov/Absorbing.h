@@ -4,20 +4,21 @@
 /// Absorbing Markov chain analysis (paper §4). Given the transient-to-
 /// transient block Q and transient-to-absorbing block R of an absorbing
 /// chain, computes the absorption probabilities A = (I - Q)^{-1} R
-/// (Equation 2 / Theorem 4.7). Three engines:
+/// (Equation 2 / Theorem 4.7). Four engines:
 ///   - exact:     sparse Gauss-Jordan elimination over Rational
+///   - modular:   multi-prime mod-p elimination + rational reconstruction
 ///   - direct:    sparse LU over double (the paper's UMFPACK configuration)
 ///   - iterative: Neumann-series iteration over double (PRISM-style approx)
 ///
-/// Each engine can additionally run *blocked* (docs/ARCHITECTURE.md S13):
-/// the transient graph is decomposed into strongly connected components,
-/// and the condensation DAG is eliminated class by class in reverse
-/// topological order — absorption out of a class depends only on already
-/// solved downstream classes, so independent classes solve concurrently on
-/// a shared ThreadPool and each block can be permuted by a fill-reducing
-/// ordering before factorization. The exact blocked solve is
-/// reference-equal to the monolithic one (rationals have no rounding);
-/// the double blocked solve agrees up to elimination-order ulps.
+/// Every engine runs on one solve structure (docs/ARCHITECTURE.md S13):
+/// unreachable states are pruned, the transient graph is decomposed into
+/// strongly connected components, and the condensation DAG is eliminated
+/// class by class in reverse topological order — absorption out of a
+/// class depends only on already solved downstream classes, so
+/// independent classes solve concurrently on a shared ThreadPool and each
+/// block can be permuted by a fill-reducing ordering before
+/// factorization. The iterative engine is the one-block case of the same
+/// structure: its convergence criterion is a whole-system residual.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -86,31 +87,22 @@ struct ModularOptions {
   std::size_t FirstPrimeIndex = 0;
 };
 
-/// How the linear system is decomposed, orthogonal to SolverKind. The
-/// default reproduces the monolithic solve exactly.
+/// Knobs of the solve structure, orthogonal to SolverKind.
 struct SolverStructure {
-  /// Eliminate per strongly-connected block of the transient graph, in
-  /// reverse topological order of the condensation DAG, instead of as one
-  /// monolithic system. Applies to the Exact and Direct engines; the
-  /// Iterative engine always solves monolithically (its convergence
-  /// criterion is a whole-system residual).
-  bool Blocked = false;
   /// Fill-reducing permutation applied inside each block before sparse LU
   /// (Direct engine only; the exact engine already pivots dynamically by
   /// minimum degree). Natural leaves the system untouched.
   linalg::OrderingKind Ordering = linalg::OrderingKind::Natural;
-  /// When non-null and Blocked is set, independent blocks solve
-  /// concurrently on this pool (dependency-counted DAG schedule). Null
-  /// solves blocks serially in id order. The ModularExact engine also
-  /// fans independent primes out on the same pool (the pool is nestable,
-  /// so blocks and primes compose).
+  /// When non-null, independent blocks solve concurrently on this pool
+  /// (dependency-counted DAG schedule). Null solves blocks serially in id
+  /// order. The ModularExact engine also fans independent primes out on
+  /// the same pool (the pool is nestable, so blocks and primes compose).
   ThreadPool *Pool = nullptr;
   /// Multi-prime knobs; only read by SolverKind::ModularExact.
   ModularOptions Modular;
 };
 
-/// Elimination statistics of one solve block (or of the whole system for a
-/// monolithic solve, which reports itself as a single block).
+/// Elimination statistics of one solve block.
 struct BlockMetrics {
   std::size_t NumStates = 0;       ///< Transient states in the block.
   std::size_t NumQEntries = 0;     ///< Kept Q entries rooted in the block.
@@ -120,8 +112,7 @@ struct BlockMetrics {
 
 /// Aggregated solve statistics. Per-block entries always sum to the
 /// totals: Σ Blocks[i].NumStates == NumSolved, Σ NumQEntries ==
-/// NumSolvedQ, and likewise for EliminationOps / FillIn — a monolithic
-/// solve is simply the one-block case.
+/// NumSolvedQ, and likewise for EliminationOps / FillIn.
 struct SolveMetrics {
   std::size_t NumSolved = 0;      ///< Transient states kept after pruning.
   std::size_t NumSolvedQ = 0;     ///< Q entries inside the kept subgraph.
@@ -132,7 +123,7 @@ struct SolveMetrics {
   /// ModularExact only (zero elsewhere): primes accepted into the CRT
   /// product, unlucky primes discarded along the way, the bit length of
   /// the prime product backing the accepted reconstruction (max over
-  /// blocks for a blocked solve), and systems that exhausted the prime
+  /// blocks), and blocks that exhausted the prime
   /// budget and fell back to the Rational kernel.
   std::size_t NumPrimes = 0;
   std::size_t RetriedPrimes = 0;
@@ -174,17 +165,16 @@ bool solveAbsorptionExact(const AbsorbingChain &Chain,
 /// rational reconstruction, verify the reconstruction against fresh
 /// primes, and fall back to the Rational kernel if the prime budget runs
 /// out. Reference-equal to solveAbsorptionExact by construction; the
-/// same divergence and singularity conventions apply. Composes with
-/// Structure.Blocked and Structure.Pool (independent SCC blocks and
-/// independent primes both fan out).
+/// same divergence and singularity conventions apply. Independent SCC
+/// blocks and independent primes both fan out on Structure.Pool.
 bool solveAbsorptionModular(const AbsorbingChain &Chain,
                             linalg::DenseMatrix<Rational> &Out,
                             const SolverStructure &Structure = {},
                             SolveMetrics *Metrics = nullptr);
 
-/// Floating-point absorption probabilities via sparse LU (Direct) or
-/// Neumann iteration (Iterative). Returns false on singularity /
-/// non-convergence.
+/// Floating-point absorption probabilities via per-block sparse LU
+/// (Direct) or whole-system Neumann iteration (Iterative). Returns false
+/// on singularity / non-convergence.
 bool solveAbsorptionDouble(const AbsorbingChain &Chain,
                            linalg::DenseMatrix<double> &Out,
                            SolverKind Kind = SolverKind::Direct,
@@ -198,9 +188,7 @@ bool rowsAreStochastic(const AbsorbingChain &Chain, double Tol = 1e-9);
 namespace detail {
 
 /// Sparse Gauss-Jordan elimination over Rational with min-degree pivoting
-/// — the shared kernel of the exact engine, used unchanged for monolithic
-/// systems and for every block of a blocked solve (so operation counts
-/// are comparable across structures). \p Rows holds the square system
+/// — the kernel of the exact engine, run once per solve block. \p Rows holds the square system
 /// (Rows[i] maps column -> coefficient, diagonals nonzero on entry for
 /// well-formed chains); \p Rhs the dense right-hand-side block. On success
 /// Rows is reduced to the identity and Rhs holds the solution in place.
@@ -214,9 +202,8 @@ bool eliminateRationalSystem(
 
 /// Assembles I - Q from \p QTriplets (local indices, values +q), applies
 /// the fill-reducing \p Ordering symmetrically, factors with sparse LU,
-/// and solves in place for each column of \p Rhs (N x NumAbsorbing).
-/// Shared by the monolithic Direct engine (one call for the whole system)
-/// and the blocked one (one call per block). \p EliminationOps
+/// and solves in place for each column of \p Rhs (N x NumAbsorbing) —
+/// the Direct engine's kernel, run once per solve block. \p EliminationOps
 /// accumulates the factorization's multiply-subtract count and \p FillIn
 /// the factor entries beyond the assembled pattern.
 bool luSolveOrdered(std::size_t N,
@@ -225,9 +212,8 @@ bool luSolveOrdered(std::size_t N,
                     linalg::OrderingKind Ordering,
                     std::size_t &EliminationOps, std::size_t &FillIn);
 
-/// Modular-engine counters of one system solve (folded into SolveMetrics
-/// by the drivers; blocked solves keep one per block and fold after the
-/// DAG completes).
+/// Modular-engine counters of one block solve (folded into SolveMetrics
+/// after the DAG completes).
 struct ModularStats {
   std::size_t NumPrimes = 0;
   std::size_t RetriedPrimes = 0;
@@ -246,21 +232,6 @@ bool modularEliminateSystem(
     std::vector<std::vector<Rational>> &Rhs, linalg::OrderingKind Ordering,
     ThreadPool *Pool, const ModularOptions &Options,
     std::size_t &EliminationOps, std::size_t &FillIn, ModularStats &Stats);
-
-/// Blocked implementations (BlockSolve.cpp); the public entry points
-/// dispatch here when Structure.Blocked is set.
-bool solveAbsorptionExactBlocked(const AbsorbingChain &Chain,
-                                 linalg::DenseMatrix<Rational> &Out,
-                                 const SolverStructure &Structure,
-                                 SolveMetrics *Metrics);
-bool solveAbsorptionModularBlocked(const AbsorbingChain &Chain,
-                                   linalg::DenseMatrix<Rational> &Out,
-                                   const SolverStructure &Structure,
-                                   SolveMetrics *Metrics);
-bool solveAbsorptionDoubleBlocked(const AbsorbingChain &Chain,
-                                  linalg::DenseMatrix<double> &Out,
-                                  const SolverStructure &Structure,
-                                  SolveMetrics *Metrics);
 
 } // namespace detail
 

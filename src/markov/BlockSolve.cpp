@@ -1,10 +1,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Block-structured absorbing-chain solves (docs/ARCHITECTURE.md S13).
-/// The transient graph decomposes into strongly connected classes; in the
-/// condensation DAG, absorption out of a class depends only on classes
-/// downstream of it:
+/// The solve structure every absorption engine runs on
+/// (docs/ARCHITECTURE.md S13). The transient graph decomposes into
+/// strongly connected classes; in the condensation DAG, absorption out of
+/// a class depends only on classes downstream of it:
 ///
 ///   (I - Q_BB) A_B = R_B + Q_{B,ext} A_ext
 ///
@@ -16,15 +16,18 @@
 /// rows of the shared absorption matrix, and every cross-block read is
 /// ordered behind the writer by the scheduling edge.
 ///
-/// The exact blocked solve is reference-equal to the monolithic one: both
-/// compute the unique rational solution of the same nonsingular system.
-/// The double blocked solve agrees up to elimination-order ulps only.
+/// The engines differ only in the per-block assembly (Rational or double)
+/// and the kernel run on it: Rational elimination (Exact), multi-prime
+/// elimination with a Rational fallback (ModularExact), ordered sparse LU
+/// (Direct), or Neumann iteration (Iterative, which plans the whole
+/// pruned system as one block).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "markov/Absorbing.h"
 #include "markov/Scc.h"
 
+#include "linalg/Solve.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -32,32 +35,40 @@
 #include <cassert>
 #include <functional>
 #include <mutex>
+#include <numeric>
 
 using namespace mcnk;
 using namespace mcnk::markov;
 using linalg::DenseMatrix;
+using linalg::SparseMatrix;
 using linalg::Triplet;
 
 namespace {
 
 /// The pruned chain reorganized for per-block assembly: per compact state,
-/// its kept Q row (compact column indices) and R row.
+/// its kept Q row (compact column indices), its R row, and its index
+/// inside its own block.
 struct BlockPlan {
   ChainPruning Pruned;
   SccDecomposition Scc; // Over compact transient indices.
   std::vector<std::vector<std::pair<std::size_t, Rational>>> QRows;
   std::vector<std::vector<std::pair<std::size_t, Rational>>> RRows;
+  std::vector<std::size_t> Local;
   std::size_t NumKeptQ = 0;
 };
 
-BlockPlan planBlocks(const AbsorbingChain &Chain) {
+/// Prunes \p Chain and decomposes the kept states into SCC blocks — or,
+/// with \p OneBlock, into a single block holding every kept state.
+BlockPlan planBlocks(const AbsorbingChain &Chain, bool OneBlock) {
   BlockPlan Plan;
   Plan.Pruned = pruneUnreachableStates(Chain);
   std::size_t NK = Plan.Pruned.NumKept;
   Plan.QRows.resize(NK);
   Plan.RRows.resize(NK);
   std::vector<std::vector<std::size_t>> Adj(NK);
-  for (const RationalTriplet &E : Chain.QEntries)
+  for (const RationalTriplet &E : Chain.QEntries) {
+    assert(E.Row < Chain.NumTransient && E.Col < Chain.NumTransient &&
+           "Q entry out of range");
     if (!E.Value.isZero() && Plan.Pruned.CanReach[E.Row] &&
         Plan.Pruned.CanReach[E.Col]) {
       std::size_t U = Plan.Pruned.Compact[E.Row];
@@ -66,10 +77,27 @@ BlockPlan planBlocks(const AbsorbingChain &Chain) {
       Adj[U].push_back(V);
       ++Plan.NumKeptQ;
     }
-  for (const RationalTriplet &E : Chain.REntries)
+  }
+  for (const RationalTriplet &E : Chain.REntries) {
+    assert(E.Row < Chain.NumTransient && E.Col < Chain.NumAbsorbing &&
+           "R entry out of range");
     if (Plan.Pruned.CanReach[E.Row])
       Plan.RRows[Plan.Pruned.Compact[E.Row]].emplace_back(E.Col, E.Value);
-  Plan.Scc = computeScc(NK, Adj);
+  }
+
+  if (OneBlock && NK > 0) {
+    Plan.Scc.NumBlocks = 1;
+    Plan.Scc.BlockOf.assign(NK, 0);
+    Plan.Scc.Blocks.assign(1, std::vector<std::size_t>(NK));
+    std::iota(Plan.Scc.Blocks[0].begin(), Plan.Scc.Blocks[0].end(), 0);
+    Plan.Scc.Successors.resize(1);
+  } else {
+    Plan.Scc = computeScc(NK, Adj);
+  }
+  Plan.Local.resize(NK);
+  for (const std::vector<std::size_t> &Members : Plan.Scc.Blocks)
+    for (std::size_t L = 0; L < Members.size(); ++L)
+      Plan.Local[Members[L]] = L;
   return Plan;
 }
 
@@ -137,249 +165,235 @@ bool runBlocks(const SccDecomposition &Scc, ThreadPool *Pool,
   return Ok.load();
 }
 
-/// Folds per-block metrics into the totals after all blocks completed.
-void finishMetrics(SolveMetrics &M, const BlockPlan &Plan,
-                   std::vector<BlockMetrics> Blocks) {
-  M.NumSolved = Plan.Pruned.NumKept;
-  M.NumSolvedQ = Plan.NumKeptQ;
-  M.NumBlocks = Plan.Scc.NumBlocks;
-  M.Blocks = std::move(Blocks);
-  for (const BlockMetrics &B : M.Blocks) {
-    M.MaxBlockSize = std::max(M.MaxBlockSize, B.NumStates);
-    M.EliminationOps += B.EliminationOps;
-    M.FillIn += B.FillIn;
-  }
-}
-
-} // namespace
-
-bool markov::detail::solveAbsorptionExactBlocked(
-    const AbsorbingChain &Chain, DenseMatrix<Rational> &Out,
-    const SolverStructure &Structure, SolveMetrics *Metrics) {
-  std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
-  BlockPlan Plan = planBlocks(Chain);
-  std::size_t NK = Plan.Pruned.NumKept;
-
-  Out = DenseMatrix<Rational>(NT, NA);
+/// The driver shared by every engine: runs
+/// SolveBlock(B, Absorb, BlockMetrics &) once per block of \p Plan in
+/// condensation-DAG order, where Absorb holds the absorption rows in
+/// compact index space (block B writes the rows of its members and reads
+/// those of its already-solved successors), then scatters the rows into
+/// \p Out and folds the per-block metrics into \p Metrics.
+template <typename T, typename BlockFn>
+bool solvePlan(const AbsorbingChain &Chain, const BlockPlan &Plan,
+               ThreadPool *Pool, DenseMatrix<T> &Out, SolveMetrics *Metrics,
+               BlockFn &&SolveBlock) {
+  std::size_t NK = Plan.Pruned.NumKept, NA = Chain.NumAbsorbing;
+  Out = DenseMatrix<T>(Chain.NumTransient, NA);
   if (Metrics)
     *Metrics = SolveMetrics();
   if (NK == 0)
     return true;
 
-  // Absorption rows in compact index space: block B writes rows of its
-  // members, later (higher-id) blocks read rows of their successors.
-  DenseMatrix<Rational> Absorb(NK, NA);
+  DenseMatrix<T> Absorb(NK, NA);
   std::vector<BlockMetrics> Blocks(Plan.Scc.NumBlocks);
-
-  auto SolveBlock = [&](std::size_t B) -> bool {
-    const std::vector<std::size_t> &Members = Plan.Scc.Blocks[B];
-    std::size_t N = Members.size();
-    auto LocalOf = [&](std::size_t Global) {
-      return static_cast<std::size_t>(
-          std::lower_bound(Members.begin(), Members.end(), Global) -
-          Members.begin());
-    };
-
-    BlockMetrics &BM = Blocks[B];
-    BM.NumStates = N;
-    std::vector<std::map<std::size_t, Rational>> Rows(N);
-    std::vector<std::vector<Rational>> Rhs(N, std::vector<Rational>(NA));
-    for (std::size_t L = 0; L < N; ++L)
-      Rows[L][L] = Rational(1);
-    for (std::size_t L = 0; L < N; ++L) {
-      std::size_t G = Members[L];
-      for (const auto &[Col, V] : Plan.RRows[G])
-        Rhs[L][Col] += V;
-      for (const auto &[Target, V] : Plan.QRows[G]) {
-        ++BM.NumQEntries;
-        if (Plan.Scc.BlockOf[Target] == B) {
-          Rational &Cell = Rows[L][LocalOf(Target)];
-          Cell -= V;
-          if (Cell.isZero())
-            Rows[L].erase(LocalOf(Target));
-        } else {
-          // Back-substitution along a condensation edge: the successor
-          // block already solved, fold its absorption row into the RHS.
-          assert(Plan.Scc.BlockOf[Target] < B && "unsolved successor");
-          for (std::size_t C = 0; C < NA; ++C)
-            if (!Absorb.at(Target, C).isZero())
-              Rhs[L][C].addMul(V, Absorb.at(Target, C));
-        }
-      }
-    }
-
-    if (!eliminateRationalSystem(Rows, Rhs, BM.EliminationOps, BM.FillIn))
-      return false;
-    for (std::size_t L = 0; L < N; ++L)
-      for (std::size_t C = 0; C < NA; ++C)
-        Absorb.at(Members[L], C) = std::move(Rhs[L][C]);
-    return true;
-  };
-
-  if (!runBlocks(Plan.Scc, Structure.Pool, SolveBlock))
-    return false;
-
-  for (std::size_t K = 0; K < NK; ++K)
-    for (std::size_t C = 0; C < NA; ++C)
-      Out.at(Plan.Pruned.Original[K], C) = std::move(Absorb.at(K, C));
-  if (Metrics)
-    finishMetrics(*Metrics, Plan, std::move(Blocks));
-  return true;
-}
-
-bool markov::detail::solveAbsorptionModularBlocked(
-    const AbsorbingChain &Chain, DenseMatrix<Rational> &Out,
-    const SolverStructure &Structure, SolveMetrics *Metrics) {
-  std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
-  BlockPlan Plan = planBlocks(Chain);
-  std::size_t NK = Plan.Pruned.NumKept;
-
-  Out = DenseMatrix<Rational>(NT, NA);
-  if (Metrics)
-    *Metrics = SolveMetrics();
-  if (NK == 0)
-    return true;
-
-  DenseMatrix<Rational> Absorb(NK, NA);
-  std::vector<BlockMetrics> Blocks(Plan.Scc.NumBlocks);
-  // Per-block modular counters, folded after the DAG completes (tasks
-  // write only their own slot, so no synchronization is needed beyond
-  // the scheduling edges).
-  std::vector<ModularStats> Stats(Plan.Scc.NumBlocks);
-  std::vector<char> FellBack(Plan.Scc.NumBlocks, 0);
-
-  auto SolveBlock = [&](std::size_t B) -> bool {
-    const std::vector<std::size_t> &Members = Plan.Scc.Blocks[B];
-    std::size_t N = Members.size();
-    auto LocalOf = [&](std::size_t Global) {
-      return static_cast<std::size_t>(
-          std::lower_bound(Members.begin(), Members.end(), Global) -
-          Members.begin());
-    };
-
-    BlockMetrics &BM = Blocks[B];
-    BM.NumStates = N;
-    std::vector<std::map<std::size_t, Rational>> Rows(N);
-    std::vector<std::vector<Rational>> Rhs(N, std::vector<Rational>(NA));
-    for (std::size_t L = 0; L < N; ++L)
-      Rows[L][L] = Rational(1);
-    for (std::size_t L = 0; L < N; ++L) {
-      std::size_t G = Members[L];
-      for (const auto &[Col, V] : Plan.RRows[G])
-        Rhs[L][Col] += V;
-      for (const auto &[Target, V] : Plan.QRows[G]) {
-        ++BM.NumQEntries;
-        if (Plan.Scc.BlockOf[Target] == B) {
-          Rational &Cell = Rows[L][LocalOf(Target)];
-          Cell -= V;
-          if (Cell.isZero())
-            Rows[L].erase(LocalOf(Target));
-        } else {
-          assert(Plan.Scc.BlockOf[Target] < B && "unsolved successor");
-          for (std::size_t C = 0; C < NA; ++C)
-            if (!Absorb.at(Target, C).isZero())
-              Rhs[L][C].addMul(V, Absorb.at(Target, C));
-        }
-      }
-    }
-
-    // Independent primes fan out on the same pool the blocks run on —
-    // the pool is nestable (help-first workers), so a block task's
-    // parallelFor executes pending prime chunks inline.
-    if (!modularEliminateSystem(Rows, Rhs, Structure.Ordering,
-                                Structure.Pool, Structure.Modular,
-                                BM.EliminationOps, BM.FillIn, Stats[B])) {
-      FellBack[B] = 1;
-      if (!eliminateRationalSystem(Rows, Rhs, BM.EliminationOps, BM.FillIn))
-        return false;
-    }
-    for (std::size_t L = 0; L < N; ++L)
-      for (std::size_t C = 0; C < NA; ++C)
-        Absorb.at(Members[L], C) = std::move(Rhs[L][C]);
-    return true;
-  };
-
-  if (!runBlocks(Plan.Scc, Structure.Pool, SolveBlock))
+  if (!runBlocks(Plan.Scc, Pool, [&](std::size_t B) {
+        Blocks[B].NumStates = Plan.Scc.Blocks[B].size();
+        return SolveBlock(B, Absorb, Blocks[B]);
+      }))
     return false;
 
   for (std::size_t K = 0; K < NK; ++K)
     for (std::size_t C = 0; C < NA; ++C)
       Out.at(Plan.Pruned.Original[K], C) = std::move(Absorb.at(K, C));
   if (Metrics) {
-    finishMetrics(*Metrics, Plan, std::move(Blocks));
-    for (std::size_t B = 0; B < Plan.Scc.NumBlocks; ++B) {
-      Metrics->NumPrimes += Stats[B].NumPrimes;
-      Metrics->RetriedPrimes += Stats[B].RetriedPrimes;
-      Metrics->ReconstructionBits =
-          std::max(Metrics->ReconstructionBits, Stats[B].ReconstructionBits);
-      Metrics->ModularFallbacks += FellBack[B] ? 1 : 0;
+    Metrics->NumSolved = NK;
+    Metrics->NumSolvedQ = Plan.NumKeptQ;
+    Metrics->NumBlocks = Plan.Scc.NumBlocks;
+    for (const BlockMetrics &B : Blocks) {
+      Metrics->MaxBlockSize = std::max(Metrics->MaxBlockSize, B.NumStates);
+      Metrics->EliminationOps += B.EliminationOps;
+      Metrics->FillIn += B.FillIn;
     }
+    Metrics->Blocks = std::move(Blocks);
   }
   return true;
 }
 
-bool markov::detail::solveAbsorptionDoubleBlocked(
-    const AbsorbingChain &Chain, DenseMatrix<double> &Out,
-    const SolverStructure &Structure, SolveMetrics *Metrics) {
-  std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
-  BlockPlan Plan = planBlocks(Chain);
-  std::size_t NK = Plan.Pruned.NumKept;
-
-  Out = DenseMatrix<double>(NT, NA);
-  if (Metrics)
-    *Metrics = SolveMetrics();
-  if (NK == 0)
-    return true;
-
-  DenseMatrix<double> Absorb(NK, NA);
-  std::vector<BlockMetrics> Blocks(Plan.Scc.NumBlocks);
-
-  auto SolveBlock = [&](std::size_t B) -> bool {
-    const std::vector<std::size_t> &Members = Plan.Scc.Blocks[B];
-    std::size_t N = Members.size();
-    auto LocalOf = [&](std::size_t Global) {
-      return static_cast<std::size_t>(
-          std::lower_bound(Members.begin(), Members.end(), Global) -
-          Members.begin());
-    };
-
-    BlockMetrics &BM = Blocks[B];
-    BM.NumStates = N;
-    std::vector<Triplet> QT;
-    DenseMatrix<double> Rhs(N, NA);
-    for (std::size_t L = 0; L < N; ++L) {
-      std::size_t G = Members[L];
-      for (const auto &[Col, V] : Plan.RRows[G])
-        Rhs.at(L, Col) += V.toDouble();
-      for (const auto &[Target, V] : Plan.QRows[G]) {
-        ++BM.NumQEntries;
-        if (Plan.Scc.BlockOf[Target] == B) {
-          QT.push_back({L, LocalOf(Target), V.toDouble()});
-        } else {
-          assert(Plan.Scc.BlockOf[Target] < B && "unsolved successor");
-          double W = V.toDouble();
-          for (std::size_t C = 0; C < NA; ++C)
-            Rhs.at(L, C) += W * Absorb.at(Target, C);
-        }
+/// Assembles block \p B's Rational system in the layout the exact
+/// kernels consume: Rows holds I - Q_BB (local indices), Rhs holds
+/// R_B + Q_{B,ext} A_ext with every successor block's rows read from
+/// \p Absorb.
+void assembleRationalBlock(const BlockPlan &Plan, std::size_t B,
+                           const DenseMatrix<Rational> &Absorb,
+                           std::vector<std::map<std::size_t, Rational>> &Rows,
+                           std::vector<std::vector<Rational>> &Rhs,
+                           BlockMetrics &BM) {
+  const std::vector<std::size_t> &Members = Plan.Scc.Blocks[B];
+  std::size_t N = Members.size(), NA = Absorb.numCols();
+  Rows.assign(N, {});
+  Rhs.assign(N, std::vector<Rational>(NA));
+  for (std::size_t L = 0; L < N; ++L)
+    Rows[L][L] = Rational(1);
+  for (std::size_t L = 0; L < N; ++L) {
+    std::size_t G = Members[L];
+    for (const auto &[Col, V] : Plan.RRows[G])
+      Rhs[L][Col] += V;
+    for (const auto &[Target, V] : Plan.QRows[G]) {
+      ++BM.NumQEntries;
+      if (Plan.Scc.BlockOf[Target] == B) {
+        std::size_t T = Plan.Local[Target];
+        Rational &Cell = Rows[L][T];
+        Cell -= V;
+        if (Cell.isZero())
+          Rows[L].erase(T);
+      } else {
+        // Back-substitution along a condensation edge: the successor
+        // block already solved, fold its absorption row into the RHS.
+        assert(Plan.Scc.BlockOf[Target] < B && "unsolved successor");
+        for (std::size_t C = 0; C < NA; ++C)
+          if (!Absorb.at(Target, C).isZero())
+            Rhs[L][C].addMul(V, Absorb.at(Target, C));
       }
     }
+  }
+}
 
-    if (!luSolveOrdered(N, QT, Rhs, Structure.Ordering, BM.EliminationOps,
-                        BM.FillIn))
+/// The double counterpart of assembleRationalBlock: \p QT receives the
+/// block's internal Q entries (local indices, values +q) and \p Rhs the
+/// N x NumAbsorbing right-hand side.
+void assembleDoubleBlock(const BlockPlan &Plan, std::size_t B,
+                         const DenseMatrix<double> &Absorb,
+                         std::vector<Triplet> &QT, DenseMatrix<double> &Rhs,
+                         BlockMetrics &BM) {
+  const std::vector<std::size_t> &Members = Plan.Scc.Blocks[B];
+  std::size_t N = Members.size(), NA = Absorb.numCols();
+  Rhs = DenseMatrix<double>(N, NA);
+  for (std::size_t L = 0; L < N; ++L) {
+    std::size_t G = Members[L];
+    for (const auto &[Col, V] : Plan.RRows[G])
+      Rhs.at(L, Col) += V.toDouble();
+    for (const auto &[Target, V] : Plan.QRows[G]) {
+      ++BM.NumQEntries;
+      if (Plan.Scc.BlockOf[Target] == B) {
+        QT.push_back({L, Plan.Local[Target], V.toDouble()});
+      } else {
+        assert(Plan.Scc.BlockOf[Target] < B && "unsolved successor");
+        double W = V.toDouble();
+        for (std::size_t C = 0; C < NA; ++C)
+          Rhs.at(L, C) += W * Absorb.at(Target, C);
+      }
+    }
+  }
+}
+
+/// Neumann iteration x = Qx + r for each column of \p Rhs, in place.
+bool neumannSolveColumns(std::size_t N, const std::vector<Triplet> &QT,
+                         DenseMatrix<double> &Rhs,
+                         std::size_t &EliminationOps) {
+  SparseMatrix Q = SparseMatrix::fromTriplets(N, N, QT);
+  std::vector<double> Col(N), X;
+  for (std::size_t J = 0; J < Rhs.numCols(); ++J) {
+    for (std::size_t I = 0; I < N; ++I)
+      Col[I] = Rhs.at(I, J);
+    std::size_t Iterations = linalg::neumannSolve(Q, Col, X);
+    if (Iterations == 0)
       return false;
+    EliminationOps += Iterations * Q.numNonZeros();
+    for (std::size_t I = 0; I < N; ++I)
+      Rhs.at(I, J) = X[I];
+  }
+  return true;
+}
+
+/// The Exact and ModularExact engines: one assembly, one driver; they
+/// differ only in the kernel run on each block.
+bool solveAbsorptionRational(const AbsorbingChain &Chain,
+                             DenseMatrix<Rational> &Out,
+                             const SolverStructure &Structure,
+                             SolveMetrics *Metrics, bool Modular) {
+  BlockPlan Plan = planBlocks(Chain, /*OneBlock=*/false);
+  // Per-block modular counters, folded after the DAG completes (tasks
+  // write only their own slot).
+  std::vector<detail::ModularStats> Stats(Modular ? Plan.Scc.NumBlocks : 0);
+  std::vector<char> FellBack(Stats.size(), 0);
+
+  auto SolveBlock = [&](std::size_t B, DenseMatrix<Rational> &Absorb,
+                        BlockMetrics &BM) {
+    std::vector<std::map<std::size_t, Rational>> Rows;
+    std::vector<std::vector<Rational>> Rhs;
+    assembleRationalBlock(Plan, B, Absorb, Rows, Rhs, BM);
+    // Independent primes fan out on the same pool the blocks run on —
+    // the pool is nestable (help-first workers), so a block task's
+    // parallelFor executes pending prime chunks inline. On a false
+    // return the modular kernel has left Rows untouched, so the Rational
+    // kernel takes over authoritatively.
+    bool Solved = Modular && detail::modularEliminateSystem(
+                                 Rows, Rhs, Structure.Ordering,
+                                 Structure.Pool, Structure.Modular,
+                                 BM.EliminationOps, BM.FillIn, Stats[B]);
+    if (!Solved) {
+      if (Modular)
+        FellBack[B] = 1;
+      if (!detail::eliminateRationalSystem(Rows, Rhs, BM.EliminationOps,
+                                           BM.FillIn))
+        return false;
+    }
+    const std::vector<std::size_t> &Members = Plan.Scc.Blocks[B];
+    for (std::size_t L = 0; L < Members.size(); ++L)
+      for (std::size_t C = 0; C < Absorb.numCols(); ++C)
+        Absorb.at(Members[L], C) = std::move(Rhs[L][C]);
+    return true;
+  };
+
+  if (!solvePlan(Chain, Plan, Structure.Pool, Out, Metrics, SolveBlock))
+    return false;
+  if (Metrics)
+    for (std::size_t B = 0; B < Stats.size(); ++B) {
+      Metrics->NumPrimes += Stats[B].NumPrimes;
+      Metrics->RetriedPrimes += Stats[B].RetriedPrimes;
+      Metrics->ReconstructionBits =
+          std::max(Metrics->ReconstructionBits, Stats[B].ReconstructionBits);
+      Metrics->ModularFallbacks += FellBack[B];
+    }
+  return true;
+}
+
+} // namespace
+
+bool markov::solveAbsorptionExact(const AbsorbingChain &Chain,
+                                  DenseMatrix<Rational> &Out,
+                                  const SolverStructure &Structure,
+                                  SolveMetrics *Metrics) {
+  return solveAbsorptionRational(Chain, Out, Structure, Metrics,
+                                 /*Modular=*/false);
+}
+
+bool markov::solveAbsorptionModular(const AbsorbingChain &Chain,
+                                    DenseMatrix<Rational> &Out,
+                                    const SolverStructure &Structure,
+                                    SolveMetrics *Metrics) {
+  return solveAbsorptionRational(Chain, Out, Structure, Metrics,
+                                 /*Modular=*/true);
+}
+
+bool markov::solveAbsorptionDouble(const AbsorbingChain &Chain,
+                                   DenseMatrix<double> &Out,
+                                   SolverKind Kind,
+                                   const SolverStructure &Structure,
+                                   SolveMetrics *Metrics) {
+  assert(Kind != SolverKind::Exact && Kind != SolverKind::ModularExact &&
+         "use solveAbsorptionExact / solveAbsorptionModular");
+  // Iterative's convergence test is a whole-system residual, so it plans
+  // the pruned system as a single block.
+  bool Iterative = Kind == SolverKind::Iterative;
+  BlockPlan Plan = planBlocks(Chain, /*OneBlock=*/Iterative);
+
+  auto SolveBlock = [&](std::size_t B, DenseMatrix<double> &Absorb,
+                        BlockMetrics &BM) {
+    std::vector<Triplet> QT;
+    DenseMatrix<double> Rhs;
+    assembleDoubleBlock(Plan, B, Absorb, QT, Rhs, BM);
+    std::size_t N = Rhs.numRows();
+    bool Ok = Iterative
+                  ? neumannSolveColumns(N, QT, Rhs, BM.EliminationOps)
+                  : detail::luSolveOrdered(N, QT, Rhs, Structure.Ordering,
+                                           BM.EliminationOps, BM.FillIn);
+    if (!Ok)
+      return false;
+    const std::vector<std::size_t> &Members = Plan.Scc.Blocks[B];
     for (std::size_t L = 0; L < N; ++L)
-      for (std::size_t C = 0; C < NA; ++C)
+      for (std::size_t C = 0; C < Absorb.numCols(); ++C)
         Absorb.at(Members[L], C) = Rhs.at(L, C);
     return true;
   };
 
-  if (!runBlocks(Plan.Scc, Structure.Pool, SolveBlock))
-    return false;
-
-  for (std::size_t K = 0; K < NK; ++K)
-    for (std::size_t C = 0; C < NA; ++C)
-      Out.at(Plan.Pruned.Original[K], C) = Absorb.at(K, C);
-  if (Metrics)
-    finishMetrics(*Metrics, Plan, std::move(Blocks));
-  return true;
+  return solvePlan(Chain, Plan, Structure.Pool, Out, Metrics, SolveBlock);
 }

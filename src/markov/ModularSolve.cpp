@@ -5,9 +5,8 @@
 /// modularEliminateSystem — solve the absorption system mod word-size
 /// primes with the linalg/ModSolve.h kernels, combine residues by CRT,
 /// recover Rationals by Wang reconstruction, and verify the result
-/// against fresh primes before accepting it — plus the monolithic
-/// solveAbsorptionModular driver. The SCC-blocked driver shares the
-/// block machinery in BlockSolve.cpp.
+/// against fresh primes before accepting it. The solve structure that
+/// runs it once per SCC block is in BlockSolve.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +24,6 @@
 
 using namespace mcnk;
 using namespace mcnk::markov;
-using linalg::DenseMatrix;
 using linalg::ModTriplet;
 
 namespace {
@@ -341,78 +339,4 @@ bool markov::detail::modularEliminateSystem(
     NextAttempt = Accepted < 16 ? std::max<std::size_t>(1, Accepted * 2)
                                 : Accepted + std::max<std::size_t>(4, Accepted / 4);
   }
-}
-
-bool markov::solveAbsorptionModular(const AbsorbingChain &Chain,
-                                    DenseMatrix<Rational> &Out,
-                                    const SolverStructure &Structure,
-                                    SolveMetrics *Metrics) {
-  if (Structure.Blocked)
-    return detail::solveAbsorptionModularBlocked(Chain, Out, Structure,
-                                                 Metrics);
-  std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
-  ChainPruning Pruned = pruneUnreachableStates(Chain);
-  std::size_t NK = Pruned.NumKept;
-
-  Out = DenseMatrix<Rational>(NT, NA);
-  if (Metrics)
-    *Metrics = SolveMetrics();
-  if (NK == 0)
-    return true;
-
-  // Assemble I - Q and the R right-hand side exactly as the Rational
-  // engine does; the modular path reads the system non-destructively, so
-  // a fallback reuses it as-is.
-  std::vector<std::map<std::size_t, Rational>> Rows(NK);
-  std::vector<std::vector<Rational>> Rhs(NK, std::vector<Rational>(NA));
-  std::size_t NumKeptQ = 0;
-  for (std::size_t K = 0; K < NK; ++K)
-    Rows[K][K] = Rational(1);
-  for (const RationalTriplet &E : Chain.QEntries) {
-    assert(E.Row < NT && E.Col < NT && "Q entry out of range");
-    if (E.Value.isZero() || !Pruned.CanReach[E.Row] ||
-        !Pruned.CanReach[E.Col])
-      continue;
-    ++NumKeptQ;
-    Rational &Cell = Rows[Pruned.Compact[E.Row]][Pruned.Compact[E.Col]];
-    Cell -= E.Value;
-    if (Cell.isZero())
-      Rows[Pruned.Compact[E.Row]].erase(Pruned.Compact[E.Col]);
-  }
-  for (const RationalTriplet &E : Chain.REntries) {
-    assert(E.Row < NT && E.Col < NA && "R entry out of range");
-    if (Pruned.CanReach[E.Row])
-      Rhs[Pruned.Compact[E.Row]][E.Col] += E.Value;
-  }
-
-  std::size_t Ops = 0, Fill = 0, Fallbacks = 0;
-  detail::ModularStats Stats;
-  if (!detail::modularEliminateSystem(Rows, Rhs, Structure.Ordering,
-                                      Structure.Pool, Structure.Modular,
-                                      Ops, Fill, Stats)) {
-    // Prime budget exhausted (or the system is singular): the Rows maps
-    // are untouched, so the Rational kernel takes over authoritatively.
-    ++Fallbacks;
-    if (!detail::eliminateRationalSystem(Rows, Rhs, Ops, Fill))
-      return false;
-  }
-
-  for (std::size_t K = 0; K < NK; ++K)
-    for (std::size_t C = 0; C < NA; ++C)
-      Out.at(Pruned.Original[K], C) = Rhs[K][C];
-
-  if (Metrics) {
-    Metrics->NumSolved = NK;
-    Metrics->NumSolvedQ = NumKeptQ;
-    Metrics->NumBlocks = 1;
-    Metrics->MaxBlockSize = NK;
-    Metrics->EliminationOps = Ops;
-    Metrics->FillIn = Fill;
-    Metrics->NumPrimes = Stats.NumPrimes;
-    Metrics->RetriedPrimes = Stats.RetriedPrimes;
-    Metrics->ReconstructionBits = Stats.ReconstructionBits;
-    Metrics->ModularFallbacks = Fallbacks;
-    Metrics->Blocks.push_back({NK, NumKeptQ, Ops, Fill});
-  }
-  return true;
 }

@@ -120,3 +120,29 @@ TEST_F(VerifierTest, ParallelCompileMatchesSerial) {
   Verifier V;
   EXPECT_EQ(V.compile(C), V.compile(C, /*Parallel=*/true, /*Threads=*/3));
 }
+
+TEST_F(VerifierTest, SolverPoolFollowsCompilePoolReplacement) {
+  // A solver structure pointing at the verifier's own pool must follow it
+  // when compilePool() replaces the pool with a different width; a stale
+  // pointer would run the next multi-block loop solve on a freed pool
+  // (caught by the sanitized ci.sh pass).
+  Verifier V;
+  markov::SolverStructure S;
+  S.Pool = &V.compilePool(2);
+  V.setSolverStructure(S);
+  ThreadPool &Replaced = V.compilePool(3);
+  EXPECT_EQ(Replaced.numThreads(), 3u);
+  EXPECT_EQ(V.solverStructure().Pool, &Replaced);
+
+  // while (f=0 | f=1) { if f=0 then (f:=1 ⊕½ f:=2) else (f:=2 ⊕½ skip) }:
+  // f=0 feeds the self-looping f=1, so the chain has two SCC blocks.
+  const Node *Loop = Ctx.whileLoop(
+      Ctx.unite(Ctx.test(F, 0), Ctx.test(F, 1)),
+      Ctx.ite(Ctx.test(F, 0),
+              Ctx.choice(Rational(1, 2), Ctx.assign(F, 1), Ctx.assign(F, 2)),
+              Ctx.choice(Rational(1, 2), Ctx.assign(F, 2), Ctx.skip())));
+  fdd::FddRef P = V.compile(Loop);
+  EXPECT_GE(V.manager().lastLoopStats().NumBlocks, 2u);
+  EXPECT_EQ(V.deliveryProbability(P, packet(0, 0)), Rational(1));
+  EXPECT_EQ(V.deliveryProbability(P, packet(1, 0)), Rational(1));
+}

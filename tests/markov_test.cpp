@@ -10,6 +10,7 @@
 
 #include "markov/Absorbing.h"
 
+#include "linalg/Solve.h"
 #include "markov/Scc.h"
 #include "support/ModArith.h"
 #include "support/ThreadPool.h"
@@ -239,8 +240,51 @@ AbsorbingChain randomChain(std::mt19937_64 &Rng) {
   return Chain;
 }
 
+/// Independent reference for the absorption solve, built without the
+/// solver under test: keep the states that reach an absorbing state
+/// (fixpoint over Q edges), then solve (I - Q)A = R over the kept states
+/// with dense Rational Gaussian elimination. Pruned rows stay zero.
+DenseMatrix<Rational> denseReference(const AbsorbingChain &Chain) {
+  std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
+  std::vector<bool> Reach(NT, false);
+  for (const RationalTriplet &E : Chain.REntries)
+    if (!E.Value.isZero())
+      Reach[E.Row] = true;
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (const RationalTriplet &E : Chain.QEntries)
+      if (!E.Value.isZero() && Reach[E.Col] && !Reach[E.Row])
+        Reach[E.Row] = Changed = true;
+  }
+  std::vector<std::size_t> Kept, Index(NT);
+  for (std::size_t I = 0; I < NT; ++I)
+    if (Reach[I]) {
+      Index[I] = Kept.size();
+      Kept.push_back(I);
+    }
+
+  std::size_t NK = Kept.size();
+  DenseMatrix<Rational> A(NK, NK), B(NK, NA);
+  for (std::size_t K = 0; K < NK; ++K)
+    A.at(K, K) = Rational(1);
+  for (const RationalTriplet &E : Chain.QEntries)
+    if (Reach[E.Row] && Reach[E.Col])
+      A.at(Index[E.Row], Index[E.Col]) -= E.Value;
+  for (const RationalTriplet &E : Chain.REntries)
+    if (Reach[E.Row])
+      B.at(Index[E.Row], E.Col) += E.Value;
+  DenseMatrix<Rational> Out(NT, NA);
+  if (NK == 0)
+    return Out;
+  EXPECT_TRUE(linalg::denseSolveInPlace(A, B));
+  for (std::size_t K = 0; K < NK; ++K)
+    for (std::size_t C = 0; C < NA; ++C)
+      Out.at(Kept[K], C) = B.at(K, C);
+  return Out;
+}
+
 /// Per-block sums of a SolveMetrics must reproduce the totals (the S13
-/// stats contract, in monolithic and blocked mode alike).
+/// stats contract).
 void expectMetricsConsistent(const SolveMetrics &M) {
   EXPECT_EQ(M.Blocks.size(), M.NumBlocks);
   std::size_t States = 0, QEntries = 0, Ops = 0, Fill = 0, MaxSize = 0;
@@ -329,9 +373,9 @@ TEST_P(SccProperty, DecompositionIsCorrect) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SccProperty,
                          ::testing::Values(81u, 82u, 83u, 84u));
 
-/// Blocked solves must reproduce the monolithic results: exactly (same
-/// rationals) for the exact engine, within ulps for sparse LU — serial
-/// and on a shared pool.
+/// The SCC-blocked solves must reproduce an independent dense solve of
+/// the pruned system: exactly (same rationals) for the exact engine,
+/// within 1e-8 for sparse LU — serial and on a shared pool.
 class BlockedSolveProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(BlockedSolveProperty, BlockedEqualsMonolithic) {
@@ -340,28 +384,18 @@ TEST_P(BlockedSolveProperty, BlockedEqualsMonolithic) {
   for (int Round = 0; Round < 25; ++Round) {
     AbsorbingChain Chain = randomChain(Rng);
     std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
-
-    DenseMatrix<Rational> Mono;
-    SolveMetrics MonoMetrics;
-    ASSERT_TRUE(solveAbsorptionExact(Chain, Mono, {}, &MonoMetrics));
-    expectMetricsConsistent(MonoMetrics);
-    EXPECT_EQ(MonoMetrics.NumBlocks, MonoMetrics.NumSolved ? 1u : 0u);
+    DenseMatrix<Rational> Reference = denseReference(Chain);
 
     for (ThreadPool *Engine : {static_cast<ThreadPool *>(nullptr), &Pool}) {
       SolverStructure Structure;
-      Structure.Blocked = true;
       Structure.Pool = Engine;
       DenseMatrix<Rational> Blocked;
       SolveMetrics Metrics;
       ASSERT_TRUE(solveAbsorptionExact(Chain, Blocked, Structure, &Metrics));
       expectMetricsConsistent(Metrics);
-      // Same kept subsystem, finer or equal decomposition.
-      EXPECT_EQ(Metrics.NumSolved, MonoMetrics.NumSolved);
-      EXPECT_EQ(Metrics.NumSolvedQ, MonoMetrics.NumSolvedQ);
-      EXPECT_GE(Metrics.NumBlocks, MonoMetrics.NumBlocks);
       for (std::size_t R = 0; R < NT; ++R)
         for (std::size_t C = 0; C < NA; ++C)
-          EXPECT_EQ(Blocked.at(R, C), Mono.at(R, C)) << R << "," << C;
+          EXPECT_EQ(Blocked.at(R, C), Reference.at(R, C)) << R << "," << C;
 
       Structure.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
       DenseMatrix<double> Direct;
@@ -370,7 +404,7 @@ TEST_P(BlockedSolveProperty, BlockedEqualsMonolithic) {
       expectMetricsConsistent(Metrics);
       for (std::size_t R = 0; R < NT; ++R)
         for (std::size_t C = 0; C < NA; ++C)
-          EXPECT_NEAR(Direct.at(R, C), Mono.at(R, C).toDouble(), 1e-8);
+          EXPECT_NEAR(Direct.at(R, C), Reference.at(R, C).toDouble(), 1e-8);
     }
   }
 }
@@ -380,19 +414,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BlockedSolveProperty,
 
 TEST(BlockedSolveTest, SingleSccExtreme) {
   // Gambler's ruin: every transient state reaches every other (birth-death
-  // chain), so the blocked solve degenerates to one block == monolithic.
+  // chain), so the whole system is one block.
   AbsorbingChain Chain = gamblersRuin(8, Rational(3, 5));
-  SolverStructure Structure;
-  Structure.Blocked = true;
-  DenseMatrix<Rational> Blocked, Mono;
+  DenseMatrix<Rational> Blocked;
   SolveMetrics Metrics;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, Blocked, Structure, &Metrics));
-  ASSERT_TRUE(solveAbsorptionExact(Chain, Mono));
+  ASSERT_TRUE(solveAbsorptionExact(Chain, Blocked, {}, &Metrics));
+  DenseMatrix<Rational> Reference = denseReference(Chain);
   EXPECT_EQ(Metrics.NumBlocks, 1u);
   EXPECT_EQ(Metrics.MaxBlockSize, Chain.NumTransient);
   for (std::size_t R = 0; R < Chain.NumTransient; ++R)
     for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C)
-      EXPECT_EQ(Blocked.at(R, C), Mono.at(R, C));
+      EXPECT_EQ(Blocked.at(R, C), Reference.at(R, C));
 }
 
 TEST(BlockedSolveTest, FullyDisconnectedExtreme) {
@@ -405,11 +437,9 @@ TEST(BlockedSolveTest, FullyDisconnectedExtreme) {
     Chain.QEntries.push_back({S, S, Rational(1, 2)});
     Chain.REntries.push_back({S, 0, Rational(1, 2)});
   }
-  SolverStructure Structure;
-  Structure.Blocked = true;
   DenseMatrix<Rational> A;
   SolveMetrics Metrics;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, A, Structure, &Metrics));
+  ASSERT_TRUE(solveAbsorptionExact(Chain, A, {}, &Metrics));
   EXPECT_EQ(Metrics.NumBlocks, 6u);
   EXPECT_EQ(Metrics.MaxBlockSize, 1u);
   EXPECT_EQ(Metrics.NumSolved, 6u);
@@ -425,11 +455,9 @@ TEST(BlockedSolveTest, DivergingStatesPrunedBeforeBlocking) {
   Chain.NumAbsorbing = 1;
   Chain.QEntries.push_back({0, 1, Rational(1)});
   Chain.QEntries.push_back({1, 0, Rational(1)});
-  SolverStructure Structure;
-  Structure.Blocked = true;
   DenseMatrix<Rational> A;
   SolveMetrics Metrics;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, A, Structure, &Metrics));
+  ASSERT_TRUE(solveAbsorptionExact(Chain, A, {}, &Metrics));
   EXPECT_EQ(Metrics.NumBlocks, 0u);
   EXPECT_EQ(Metrics.NumSolved, 0u);
   EXPECT_EQ(A.at(0, 0), Rational(0));
@@ -451,8 +479,8 @@ TEST(AbsorbingTest, LongChainDirectSolver) {
 //===----------------------------------------------------------------------===//
 
 /// The multi-prime engine must reproduce the Rational engine's answers
-/// exactly — serial, pooled, and blocked — while reporting its prime and
-/// reconstruction metrics consistently.
+/// exactly — serial and pooled, natural and RCM-ordered — while reporting
+/// its prime and reconstruction metrics consistently.
 class ModularSolveProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ModularSolveProperty, ModularEqualsExact) {
@@ -466,12 +494,12 @@ TEST_P(ModularSolveProperty, ModularEqualsExact) {
     ASSERT_TRUE(solveAbsorptionExact(Chain, Exact));
 
     for (ThreadPool *Engine : {static_cast<ThreadPool *>(nullptr), &Pool})
-      for (bool Blocked : {false, true}) {
+      for (linalg::OrderingKind Ordering :
+           {linalg::OrderingKind::Natural,
+            linalg::OrderingKind::ReverseCuthillMcKee}) {
         SolverStructure Structure;
-        Structure.Blocked = Blocked;
         Structure.Pool = Engine;
-        if (Blocked)
-          Structure.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
+        Structure.Ordering = Ordering;
         DenseMatrix<Rational> Modular;
         SolveMetrics Metrics;
         ASSERT_TRUE(

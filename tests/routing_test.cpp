@@ -308,6 +308,32 @@ TEST(FatTreeModelTest, StandardFatTreeLacksThreeHopDetour) {
   EXPECT_LT(DStd, DAb);
 }
 
+TEST(FatTreeModelTest, LoopSolveBlocksAreSingletonsUnderIidFailures) {
+  // The Fig 7 family (standard FatTree, ECMP, iid 1/1000, Exact): the
+  // forwarding chain is acyclic, so every kept state is its own SCC block
+  // and the solve is pure back-substitution — no elimination work and no
+  // fill-in. The counters are host-independent (bench/results/
+  // BENCH_solver_blocked.json records the same 19 and 44 solved states).
+  for (auto [P, Solved] : {std::pair<unsigned, std::size_t>{4, 19},
+                           std::pair<unsigned, std::size_t>{6, 44}}) {
+    Context Ctx;
+    topology::FatTreeLayout L;
+    topology::makeFatTree(P, L);
+    ModelOptions O;
+    O.RoutingScheme = Scheme::F100;
+    O.Failures = FailureModel::iid(Rational(1, 1000));
+    NetworkModel M = buildFatTreeModel(L, O, Ctx);
+    Verifier V;
+    V.compile(M.Program);
+    const fdd::LoopSolveStats &LS = V.manager().lastLoopStats();
+    EXPECT_EQ(LS.NumSolved, Solved) << "p=" << P;
+    EXPECT_EQ(LS.NumBlocks, LS.NumSolved) << "p=" << P;
+    EXPECT_EQ(LS.MaxBlockSize, 1u) << "p=" << P;
+    EXPECT_EQ(LS.EliminationOps, 0u) << "p=" << P;
+    EXPECT_EQ(LS.FillIn, 0u) << "p=" << P;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Chain model
 //===----------------------------------------------------------------------===//
