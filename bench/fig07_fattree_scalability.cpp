@@ -14,21 +14,10 @@
 /// timeout discipline). Knobs: MCNK_FIG7_MAXP (default 12),
 /// MCNK_TIME_LIMIT seconds (default 30).
 ///
-/// MCNK_FIG7_MODULAR_JSON=<path> switches to the multi-prime modular
-/// solver trajectory point (docs/ARCHITECTURE.md S14): the FatTree family
-/// plus a diamond-chain family (the Fig 10 topology, where the exact
-/// rationals grow to thousands of bits and Rational elimination goes
-/// superlinear) compiled with the Rational Exact engine vs ModularExact.
-/// Reference equality is enforced at every point (nonzero exit on
-/// mismatch) and the JSON records wall times, speedups, and the per-solve
-/// prime/reconstruction counters. MCNK_FIG7_MODULAR_MAXK caps the chain
-/// sweep (default 64 diamonds).
-///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 #include "analysis/Verifier.h"
-#include "fdd/Export.h"
 #include "prism/Checker.h"
 #include "prism/Translate.h"
 #include "routing/Routing.h"
@@ -129,130 +118,10 @@ int runGolden(unsigned MaxP) {
   return 0;
 }
 
-/// One MCNK_FIG7_MODULAR_JSON point: compiles \p Program with the
-/// Rational Exact engine and with ModularExact, enforces reference
-/// equality, prints one table row, and appends one JSON point. Returns
-/// false on mismatch.
-bool modularPoint(ast::Context &Ctx, const ast::Node *Program,
-                  const char *Family, unsigned Param, unsigned Switches,
-                  std::string &Points, bool &AllEqual) {
-  (void)Ctx;
-  analysis::Verifier Exact; // Rational Gaussian elimination.
-  WallTimer ExactTimer;
-  fdd::FddRef RE = Exact.compile(Program);
-  double ExactSec = ExactTimer.elapsed();
-
-  analysis::Verifier Mod(markov::SolverKind::ModularExact);
-  WallTimer ModTimer;
-  fdd::FddRef RM = Mod.compile(Program);
-  double ModSec = ModTimer.elapsed();
-  const fdd::LoopSolveStats &MS = Mod.manager().lastLoopStats();
-
-  bool Equal =
-      fdd::importFdd(Exact.manager(), fdd::exportFdd(Mod.manager(), RM)) ==
-      RE;
-  AllEqual = AllEqual && Equal;
-  if (!Equal)
-    std::fprintf(stderr,
-                 "MISMATCH: modular compile differs from Rational exact "
-                 "(%s %u)\n",
-                 Family, Param);
-
-  double Speedup = ModSec > 0.0 ? ExactSec / ModSec : 0.0;
-  std::printf("%-8s %5u %9u  %9.3f %9.3f  %7.2fx  %6zu %7zu %6zu %5zu\n",
-              Family, Param, Switches, ExactSec, ModSec, Speedup,
-              MS.NumPrimes, MS.RetriedPrimes, MS.ReconstructionBits,
-              MS.ModularFallbacks);
-  std::fflush(stdout);
-
-  char Point[512];
-  std::snprintf(Point, sizeof(Point),
-                "%s    {\"family\": \"%s\", \"param\": %u, "
-                "\"switches\": %u, \"solved_states\": %zu, "
-                "\"exact_seconds\": %.6f, \"modular_seconds\": %.6f, "
-                "\"speedup\": %.3f, \"num_primes\": %zu, "
-                "\"retried_primes\": %zu, \"reconstruction_bits\": %zu, "
-                "\"fallbacks\": %zu}",
-                Points.empty() ? "" : ",\n", Family, Param, Switches,
-                MS.NumSolved, ExactSec, ModSec, Speedup, MS.NumPrimes,
-                MS.RetriedPrimes, MS.ReconstructionBits,
-                MS.ModularFallbacks);
-  Points += Point;
-  return Equal;
-}
-
-/// MCNK_FIG7_MODULAR_JSON: the S14 modular-solver trajectory point.
-/// Rational Exact vs ModularExact on the FatTree family and on the Fig 10
-/// diamond-chain family. The chains are where the modular engine earns
-/// its keep: the absorption probabilities have denominators near 2000^K,
-/// so Rational elimination drags ever-wider bignums through every
-/// multiply-subtract while the modular kernels stay word-size and only
-/// pay bignum cost in the final CRT + reconstruction.
-int runModular(unsigned MaxP, unsigned MaxK, const char *Path) {
-  std::printf("=== Fig 7/10 modular-solver point: Rational Exact vs "
-              "multi-prime ModularExact ===\n");
-  std::printf("%-8s %5s %9s  %9s %9s  %8s  %6s %7s %6s %5s\n", "family",
-              "param", "switches", "exact s", "mod s", "speedup", "primes",
-              "retried", "bits", "fback");
-  FailureModel Fail = FailureModel::iid(Rational(1, 1000));
-  std::string Points;
-  bool AllEqual = true;
-
-  for (unsigned P = 4; P <= MaxP; P += 2) {
-    topology::FatTreeLayout L;
-    topology::makeFatTree(P, L);
-    ast::Context Ctx;
-    ModelOptions O;
-    O.RoutingScheme = Scheme::F100;
-    O.Failures = Fail;
-    NetworkModel M = buildFatTreeModel(L, O, Ctx);
-    modularPoint(Ctx, M.Program, "fattree", P, L.numSwitches(), Points,
-                 AllEqual);
-  }
-
-  for (unsigned K = 2; K <= MaxK; K *= 2) {
-    topology::ChainLayout L;
-    topology::makeChain(K, L);
-    ast::Context Ctx;
-    NetworkModel M =
-        routing::buildChainModel(L, Rational(1, 1000), Ctx);
-    modularPoint(Ctx, M.Program, "chain", K, L.numSwitches(), Points,
-                 AllEqual);
-  }
-
-  std::printf(AllEqual
-                  ? "modular solver: all points reference-equal\n"
-                  : "modular solver: MISMATCH (see stderr)\n");
-
-  if (std::FILE *F = std::fopen(Path, "w")) {
-    std::fprintf(F,
-                 "{\n"
-                 "  \"name\": \"solver_modular\",\n"
-                 "  \"model\": \"FatTree ECMP (Fig 7 family) and diamond "
-                 "chains (Fig 10 family), iid 1/1000 link failures\",\n"
-                 "  \"engine\": \"mod-p elimination + CRT / verified "
-                 "rational reconstruction (ARCHITECTURE S14)\",\n"
-                 "  \"reference_equal\": %s,\n"
-                 "  \"points\": [\n%s\n  ]\n"
-                 "}\n",
-                 AllEqual ? "true" : "false", Points.c_str());
-    std::fclose(F);
-    std::printf("wrote %s\n", Path);
-  } else {
-    std::fprintf(stderr, "error: cannot write %s\n", Path);
-    return 1;
-  }
-  return AllEqual ? 0 : 1;
-}
-
 } // namespace
 
 int main() {
   unsigned MaxP = envUnsigned("MCNK_FIG7_MAXP", 12);
-  if (const char *Path = std::getenv("MCNK_FIG7_MODULAR_JSON");
-      Path && *Path)
-    return runModular(std::min(MaxP, 6u),
-                      envUnsigned("MCNK_FIG7_MODULAR_MAXK", 512), Path);
   if (envUnsigned("MCNK_GOLDEN", 0))
     return runGolden(std::min(MaxP, 6u));
   double Limit = envDouble("MCNK_TIME_LIMIT", 30.0);

@@ -7,11 +7,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "linalg/ModSolve.h"
 #include "linalg/Solve.h"
 #include "linalg/SparseLU.h"
 #include "markov/Absorbing.h"
-#include "support/ModArith.h"
 
 #include <benchmark/benchmark.h>
 
@@ -113,110 +111,6 @@ static void BM_AbsorbingExact(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_AbsorbingExact)->Arg(32)->Arg(128);
-
-static void BM_AbsorbingModular(benchmark::State &State) {
-  // Counterpart of BM_AbsorbingExact: the multi-prime engine on the same
-  // chains (mod-p elimination + CRT + verified rational reconstruction).
-  markov::AbsorbingChain Chain =
-      birthDeath(static_cast<std::size_t>(State.range(0)));
-  for (auto _ : State) {
-    linalg::DenseMatrix<Rational> A;
-    benchmark::DoNotOptimize(markov::solveAbsorptionModular(Chain, A));
-  }
-}
-BENCHMARK(BM_AbsorbingModular)->Arg(32)->Arg(128);
-
-static void BM_ModSolvePrime(benchmark::State &State) {
-  // One prime's share of the modular solve: the I - Q system of the
-  // birth-death chain reduced mod p and eliminated with the word-size
-  // kernels (no bignum arithmetic anywhere on this path).
-  std::size_t N = static_cast<std::size_t>(State.range(0));
-  PrimeField F(modPrime(0));
-  std::uint64_t Half;
-  (void)rationalMod(Rational(1, 2), F, Half);
-  std::uint64_t MinusHalf = F.encode(F.prime() - Half);
-  std::vector<linalg::ModTriplet> A;
-  std::vector<std::uint64_t> B(N, 0);
-  for (std::size_t K = 0; K < N; ++K) {
-    A.push_back({K, K, F.one()});
-    if (K + 1 < N)
-      A.push_back({K, K + 1, MinusHalf});
-    else
-      B[K] = F.encode(Half);
-    if (K > 0)
-      A.push_back({K, K - 1, MinusHalf});
-  }
-  for (auto _ : State) {
-    std::vector<std::uint64_t> Rhs = B;
-    std::size_t Ops = 0, Fill = 0;
-    benchmark::DoNotOptimize(linalg::modSolveOrdered(
-        F, N, A, Rhs, 1, linalg::OrderingKind::Natural, Ops, Fill));
-  }
-}
-BENCHMARK(BM_ModSolvePrime)->Arg(128)->Arg(512);
-
-static void BM_CrtFoldLimbs(benchmark::State &State) {
-  // The per-entry CRT accumulation of one matrix entry across K primes:
-  // K allocation-free X += M·T passes on raw 64-bit limbs (prefix moduli
-  // precomputed, as the solver does once per accepted prime).
-  std::size_t K = static_cast<std::size_t>(State.range(0));
-  std::vector<std::vector<std::uint64_t>> Prefix(K);
-  std::vector<std::uint64_t> Residue(K);
-  BigInt M(1);
-  std::mt19937_64 Rng(7);
-  for (std::size_t I = 0; I < K; ++I) {
-    Prefix[I] = M.magnitudeLimbs64();
-    std::uint64_t P = modPrime(I);
-    Residue[I] = Rng() % P;
-    M *= BigInt::fromUnsigned(P);
-  }
-  std::vector<std::uint64_t> X;
-  for (auto _ : State) {
-    X.clear();
-    for (std::size_t I = 0; I < K; ++I)
-      crtFoldLimbs64(X, Prefix[I], Residue[I]);
-    benchmark::DoNotOptimize(X.data());
-  }
-}
-BENCHMARK(BM_CrtFoldLimbs)->Arg(16)->Arg(64);
-
-static void BM_RationalReconstruct(benchmark::State &State) {
-  // Wang reconstruction (Lehmer-batched EGCD on 64-bit limb kernels) of a
-  // wide known rational from its CRT image modulo K primes.
-  std::size_t K = static_cast<std::size_t>(State.range(0));
-  BigInt M(1);
-  for (std::size_t I = 0; I < K; ++I)
-    M *= BigInt::fromUnsigned(modPrime(I));
-  // N/D sized just inside the Wang bound sqrt(M/2): ~30 of the ~62
-  // modulus bits per prime go to each side.
-  unsigned Side = static_cast<unsigned>(K) * 30;
-  BigInt N = BigInt::pow(BigInt(2), Side) + BigInt(1);
-  BigInt D = BigInt::pow(BigInt(3), (Side * 3) / 5); // 3^k ~ 2^1.585k.
-  Rational Value(N, D);
-  std::vector<std::uint64_t> X;
-  BigInt MPrefix(1);
-  for (std::size_t I = 0; I < K; ++I) {
-    PrimeField F(modPrime(I));
-    std::uint64_t R;
-    if (!rationalMod(Value, F, R))
-      State.SkipWithError("unlucky prime in setup");
-    std::uint64_t XModP = F.encode(limbs64ModU64(X, F.prime()));
-    std::uint64_t InvM = F.inv(F.encode(MPrefix.modU64(F.prime())));
-    crtFoldLimbs64(X, MPrefix.magnitudeLimbs64(),
-                   F.decode(F.mul(F.sub(F.encode(R), XModP), InvM)));
-    MPrefix *= BigInt::fromUnsigned(F.prime());
-  }
-  BigInt XB = BigInt::fromLimbs64(false, X);
-  BigInt Bound = isqrtBigInt((M - BigInt(1)) / BigInt(2));
-  for (auto _ : State) {
-    Rational Out;
-    bool Ok = rationalReconstruct(XB, M, Bound, Out);
-    benchmark::DoNotOptimize(Ok);
-    if (!Ok || Out != Value)
-      State.SkipWithError("reconstruction failed");
-  }
-}
-BENCHMARK(BM_RationalReconstruct)->Arg(16)->Arg(64);
 
 static void BM_AbsorbingDirect(benchmark::State &State) {
   markov::AbsorbingChain Chain =

@@ -247,33 +247,24 @@ if [ "$MODE" = "bench" ]; then
     "$BUILD_DIR/fig08_parallel_speedup"
   # Compile-cache trajectory point: the per-ingress query sweep across the
   # registry, cached vs uncached (reference-equality enforced; the run
-  # fails on any mismatch). The same invocation records the modular-solver
-  # registry sweep (Rational Exact vs multi-prime ModularExact,
-  # ARCHITECTURE S14).
-  # The same invocation also records the simplify-sweep point: the cached
-  # per-ingress family with the S15 verified simplifier in front of every
-  # compile (reference equality enforced; hit-rate and node-count deltas
-  # recorded) — and the slice-sweep point: every registry scenario,
+  # fails on any mismatch). The same invocation also records the
+  # simplify-sweep point: the cached per-ingress family with the S15
+  # verified simplifier in front of every compile (reference equality
+  # enforced; hit-rate and node-count deltas recorded) — and the
+  # slice-sweep point: every registry scenario,
   # plain Exact vs S17 delivery-cone-sliced Exact (answer equality
   # enforced; wall-clock and FDD-node deltas recorded).
   MCNK_SWEEP_TABLE=0 \
     MCNK_SWEEP_CACHE_JSON=bench/results/BENCH_sweep_cache.json \
-    MCNK_SWEEP_MODULAR_JSON=bench/results/BENCH_sweep_modular.json \
     MCNK_SWEEP_SIMPLIFY_JSON=bench/results/BENCH_sweep_simplify.json \
     MCNK_SWEEP_SLICE_JSON=bench/results/BENCH_sweep_slice.json \
     "$BUILD_DIR/scenario_sweep"
-  # Modular-solver trajectory point: Rational Exact vs multi-prime
-  # ModularExact on the Fig 7 FatTree family and the Fig 10 diamond-chain
-  # family (reference-equality enforced; the chains are where the wide
-  # CRT moduli and the >= 5x exact-solve speedups live).
-  MCNK_FIG7_MODULAR_JSON=bench/results/BENCH_solver_modular.json \
-    "$BUILD_DIR/fig07_fattree_scalability"
   # Serving-layer trajectory point: the registry replayed through one
   # daemon session, cold store vs restart-warmed store (warm answers must
   # come from disk and be byte-identical; the run fails otherwise).
   MCNK_SERVE_JSON=bench/results/BENCH_serve_throughput.json \
     "$BUILD_DIR/serve_throughput"
-  echo "Wrote bench/results/BENCH_micro_{support,linalg}.json, BENCH_fig08_parallel.json, BENCH_sweep_{cache,modular,simplify,slice}.json, BENCH_solver_modular.json, and BENCH_serve_throughput.json"
+  echo "Wrote bench/results/BENCH_micro_{support,linalg}.json, BENCH_fig08_parallel.json, BENCH_sweep_{cache,simplify,slice}.json, and BENCH_serve_throughput.json"
   exit 0
 fi
 

@@ -41,12 +41,7 @@
 /// persistent worker pool (N workers; bare -j means hardware concurrency).
 /// The global option --cache enables the cross-compile memoization cache
 /// (ARCHITECTURE S12) on every verifier the command builds and prints the
-/// hit/miss statistics on exit. The global option --modular
-/// switches loop solves to the multi-prime modular exact engine
-/// (ARCHITECTURE S14): elimination runs over word-size prime fields and
-/// the exact rationals are recovered by CRT + verified rational
-/// reconstruction; the answers are identical to the default engine, and
-/// the per-solve prime statistics are printed. The global option
+/// hit/miss statistics on exit. The global option
 /// --simplify runs the verified S15 simplifier over every program
 /// before compiling it (semantics-preserving: the diagrams are
 /// reference-identical, a contract the oracle enforces). The global
@@ -153,13 +148,13 @@ bool parseInputPacket(const std::string &Spec, ast::Context &Ctx,
 
 int usage() {
   std::fprintf(stderr,
-               "usage: mcnk [-j[N]] [--cache] [--modular] "
+               "usage: mcnk [-j[N]] [--cache] "
                "[--simplify] [--slice] check|dump <file.pnk>\n"
                "       mcnk lint [--fix] [--json] <file.pnk>\n"
                "       mcnk lint [--json] --registry\n"
-               "       mcnk [-j[N]] [--cache] [--modular] "
+               "       mcnk [-j[N]] [--cache] "
                "[--simplify] [--slice] run|prism <file.pnk> f=v[,g=w...]\n"
-               "       mcnk [-j[N]] [--cache] [--modular] "
+               "       mcnk [-j[N]] [--cache] "
                "[--simplify] [--slice] equiv <a.pnk> <b.pnk>\n"
                "       mcnk [--cache] fuzz [--seed N] [--iters N] "
                "[--no-scenarios]\n"
@@ -167,11 +162,6 @@ int usage() {
                "hardware concurrency)\n"
                "  --cache   enable the cross-compile memoization cache and "
                "print its stats\n"
-               "  --modular solve loops with the multi-prime modular exact "
-               "engine (mod-p\n"
-               "            elimination + CRT/rational reconstruction; "
-               "same exact answers)\n"
-               "            and print prime stats\n"
                "  --simplify run the verified S15 simplifier over every\n"
                "            program before compiling (same diagrams,\n"
                "            enforced by the oracle)\n"
@@ -191,17 +181,6 @@ int usage() {
                "            registry; exit 3 on any disagreement (2 on\n"
                "            usage errors), printing the reproducing seed\n");
   return 2;
-}
-
-/// Prints the last loop's modular-solver statistics (the --modular
-/// report). Silent when the program solved no loop.
-void printModularStats(const fdd::LoopSolveStats &LS) {
-  if (LS.NumStates == 0)
-    return;
-  std::printf("modular: %zu prime(s), %zu retried, %zu reconstruction "
-              "bits, %zu fallback(s)\n",
-              LS.NumPrimes, LS.RetriedPrimes, LS.ReconstructionBits,
-              LS.ModularFallbacks);
 }
 
 /// Prints one line of cache statistics (the --cache report).
@@ -433,7 +412,6 @@ int main(int Argc, char **Argv) {
   // and the make-style separate form `-j N`.
   bool Parallel = false;
   bool UseCache = false;
-  bool Modular = false;
   bool Simplify = false;
   bool Slice = false;
   unsigned Threads = 0;
@@ -450,10 +428,6 @@ int main(int Argc, char **Argv) {
     std::string Arg = Argv[I];
     if (Arg == "--cache") {
       UseCache = true;
-      continue;
-    }
-    if (Arg == "--modular") {
-      Modular = true;
       continue;
     }
     if (Arg == "--simplify") {
@@ -516,8 +490,7 @@ int main(int Argc, char **Argv) {
   }
 
   if (Command == "dump") {
-    analysis::Verifier V(Modular ? markov::SolverKind::ModularExact
-                                 : markov::SolverKind::Exact);
+    analysis::Verifier V(markov::SolverKind::Exact);
     if (UseCache)
       V.enableCompileCache();
     if (Simplify)
@@ -537,8 +510,6 @@ int main(int Argc, char **Argv) {
                   S.AssignmentsRemoved, S.NodesBefore, S.NodesAfter,
                   S.FieldsRelevant, S.FieldsBefore);
     }
-    if (Modular)
-      printModularStats(V.manager().lastLoopStats());
     if (UseCache)
       printCacheStats(*V.compileCache());
     return 0;
@@ -553,8 +524,7 @@ int main(int Argc, char **Argv) {
     // One verifier — and thus one persistent compile pool and compile
     // cache — serves both compiles, so shared sub-programs of the two
     // inputs are compiled once.
-    analysis::Verifier V(Modular ? markov::SolverKind::ModularExact
-                                 : markov::SolverKind::Exact);
+    analysis::Verifier V(markov::SolverKind::Exact);
     if (UseCache)
       V.enableCompileCache();
     if (Simplify)
@@ -586,8 +556,7 @@ int main(int Argc, char **Argv) {
                   T.DropGuard.c_str());
       return 0;
     }
-    analysis::Verifier V(Modular ? markov::SolverKind::ModularExact
-                                 : markov::SolverKind::Exact);
+    analysis::Verifier V(markov::SolverKind::Exact);
     if (UseCache)
       V.enableCompileCache();
     if (Simplify)
@@ -607,8 +576,6 @@ int main(int Argc, char **Argv) {
     }
     if (!Out.Dropped.isZero())
       std::printf("drop @ %s\n", Out.Dropped.toString().c_str());
-    if (Modular)
-      printModularStats(V.manager().lastLoopStats());
     if (UseCache)
       printCacheStats(*V.compileCache());
     return 0;

@@ -79,23 +79,15 @@ void Verifier::setCompileCache(fdd::CompileCache *Shared) {
   Cache = Shared;
 }
 
-namespace {
-/// Both the Rational and the multi-prime modular engines are exact —
-/// their FDDs admit reference equality and zero-tolerance refinement.
-bool isExactKind(markov::SolverKind Kind) {
-  return Kind == markov::SolverKind::Exact ||
-         Kind == markov::SolverKind::ModularExact;
-}
-} // namespace
-
 bool Verifier::equivalent(FddRef P, FddRef Q) const {
-  if (isExactKind(Manager.solverKind()))
+  if (Manager.solverKind() == markov::SolverKind::Exact)
     return fdd::equivalent(P, Q);
   return fdd::approxEquivalent(Manager, P, Q, Tolerance);
 }
 
 bool Verifier::refines(FddRef P, FddRef Q) const {
-  double Eps = isExactKind(Manager.solverKind()) ? 0.0 : Tolerance;
+  double Eps =
+      Manager.solverKind() == markov::SolverKind::Exact ? 0.0 : Tolerance;
   return fdd::refines(Manager, P, Q, Eps);
 }
 

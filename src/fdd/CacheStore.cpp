@@ -40,6 +40,19 @@ constexpr std::size_t RecordPrefixBytes = 12; // u32 length + u64 checksum.
 /// Sanity cap on one record's payload (64 MiB): a flipped length byte must
 /// not make the loader try to slurp gigabytes before the checksum check.
 constexpr uint32_t MaxPayloadBytes = 64u << 20;
+/// Solver byte of the retired multi-prime "modular-exact" engine. Stores
+/// written while it existed may hold such records; open() and compact()
+/// skip them as dead (compaction drops them) instead of treating them as
+/// corruption, which would truncate every valid record after the first.
+constexpr uint8_t RetiredSolverByte = 3;
+static_assert(RetiredSolverByte >= markov::NumSolverKinds,
+              "a live solver kind reuses the retired byte");
+
+/// True if the checksummed payload is a record of the retired solver
+/// (the solver byte follows the two u64 key words).
+bool isRetiredSolverRecord(const uint8_t *Payload, std::size_t Len) {
+  return Len > 16 && Payload[16] == RetiredSolverByte;
+}
 
 uint64_t fnv1a64(const uint8_t *Data, std::size_t Size) {
   uint64_t Hash = 0xcbf29ce484222325ULL;
@@ -182,7 +195,7 @@ bool fdd::decodeCacheRecord(const uint8_t *Data, std::size_t Size,
       !R.takeU8(Solver, "solver") || !R.takeU32(Out.Diagram.Root, "root") ||
       !R.takeU32(NumNodes, "node count"))
     return false;
-  if (Solver > static_cast<uint8_t>(markov::SolverKind::ModularExact))
+  if (Solver >= markov::NumSolverKinds)
     return R.fail("solver kind");
   Out.Solver = static_cast<markov::SolverKind>(Solver);
   // Every node costs at least the 1-byte tag.
@@ -376,7 +389,8 @@ std::unique_ptr<CacheStore> CacheStore::open(const std::string &Path,
   std::size_t Pos = HeaderBytes;
   std::size_t GoodEnd = Pos;
   // Newest record per key wins; remember the slot to overwrite.
-  std::unordered_map<ast::ProgramHash, std::array<int64_t, 4>,
+  std::unordered_map<ast::ProgramHash,
+                     std::array<int64_t, markov::NumSolverKinds>,
                      ast::ProgramHashHasher>
       Slot;
   while (Pos < Bytes.size()) {
@@ -393,6 +407,13 @@ std::unique_ptr<CacheStore> CacheStore::open(const std::string &Path,
     const uint8_t *Payload = Bytes.data() + Pos + RecordPrefixBytes;
     if (fnv1a64(Payload, Len) != Sum)
       break; // Bit rot or torn write: do not trust this or anything after.
+    if (isRetiredSolverRecord(Payload, Len)) {
+      // Counted in TotalRecords but under no key: a dead record.
+      Pos += RecordPrefixBytes + Len;
+      GoodEnd = Pos;
+      ++Store->TotalRecords;
+      continue;
+    }
     CacheRecord Record;
     if (!decodeCacheRecord(Payload, Len, Record)) {
       // Checksum matched but the content is malformed — written by a buggy
@@ -501,7 +522,8 @@ bool CacheStore::compact(std::string *Error) {
     std::size_t Offset;
     std::size_t Size;
   };
-  std::unordered_map<ast::ProgramHash, std::array<int64_t, 4>,
+  std::unordered_map<ast::ProgramHash,
+                     std::array<int64_t, markov::NumSolverKinds>,
                      ast::ProgramHashHasher>
       Newest;
   std::vector<std::pair<ast::ProgramHash, uint8_t>> Order;
@@ -519,6 +541,10 @@ bool CacheStore::compact(std::string *Error) {
     const uint8_t *Payload = Bytes.data() + Pos + RecordPrefixBytes;
     if (fnv1a64(Payload, Len) != Sum)
       break;
+    if (isRetiredSolverRecord(Payload, Len)) {
+      Pos += RecordPrefixBytes + Len;
+      continue;
+    }
     CacheRecord Record;
     if (!decodeCacheRecord(Payload, Len, Record))
       break;

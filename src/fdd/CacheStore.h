@@ -74,7 +74,9 @@ public:
 
   struct Stats {
     std::size_t LiveRecords = 0;  ///< Distinct keys in the file.
-    std::size_t DeadRecords = 0;  ///< Superseded duplicates awaiting gc.
+    /// Superseded duplicates and records of a retired solver kind,
+    /// awaiting gc.
+    std::size_t DeadRecords = 0;
     std::size_t FileBytes = 0;    ///< Current file size.
     std::size_t TornBytesDropped = 0; ///< Truncated at open (crash tail).
     std::size_t CorruptRecordsDropped = 0; ///< Checksum/decode rejects.
@@ -135,8 +137,9 @@ private:
   /// by warm()/discardLoaded().
   std::vector<CacheRecord> Loaded;
   /// Per-(fingerprint, solver) record counts in the file — the dead-record
-  /// accounting behind maybeCompact(). Indexed by solver kind (4 kinds).
-  std::unordered_map<ast::ProgramHash, std::array<uint32_t, 4>,
+  /// accounting behind maybeCompact(). Indexed by solver kind.
+  std::unordered_map<ast::ProgramHash,
+                     std::array<uint32_t, markov::NumSolverKinds>,
                      ast::ProgramHashHasher>
       FileKeys;
   std::size_t TotalRecords = 0;

@@ -57,14 +57,6 @@ struct LoopSolveStats {
   std::size_t MaxBlockSize = 0; ///< Largest block's state count.
   std::size_t EliminationOps = 0; ///< Multiply-subtract operations.
   std::size_t FillIn = 0;         ///< Entries created by elimination.
-  /// ModularExact only (zero for the other engines): accepted primes,
-  /// unlucky primes discarded, and the accepted reconstruction's
-  /// prime-product bit length (max over blocks). See
-  /// docs/ARCHITECTURE.md S14.
-  std::size_t NumPrimes = 0;
-  std::size_t RetriedPrimes = 0;
-  std::size_t ReconstructionBits = 0;
-  std::size_t ModularFallbacks = 0; ///< Blocks that fell back to Rational.
   std::vector<markov::BlockMetrics> Blocks; ///< Per-block breakdown.
 };
 
@@ -93,9 +85,8 @@ public:
   markov::SolverKind solverKind() const { return Solver; }
 
   /// The solver structure knobs (fill-reducing ordering, optional pool
-  /// for independent SCC blocks and primes, modular options;
-  /// docs/ARCHITECTURE.md S13) used by subsequent solveLoop calls.
-  /// Orthogonal to solverKind. Loops already in the loop cache are
+  /// for independent SCC blocks; docs/ARCHITECTURE.md S13) used by
+  /// subsequent solveLoop calls. Orthogonal to solverKind. Loops already in the loop cache are
   /// returned as cached — their diagrams are knob-independent in Exact
   /// mode, but their recorded stats describe the knobs that first solved
   /// them; reset() clears the cache when a clean re-solve is needed.

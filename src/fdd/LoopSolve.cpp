@@ -268,13 +268,6 @@ FddRef FddManager::solveLoop(FddRef Guard, FddRef Body) {
   if (Solver == markov::SolverKind::Exact) {
     if (!markov::solveAbsorptionExact(Chain, Absorption, Structure, &Metrics))
       fatalError("absorbing-chain solve failed (malformed chain)");
-  } else if (Solver == markov::SolverKind::ModularExact) {
-    // Exact-valued like the Rational engine (mod-p solves + CRT/rational
-    // reconstruction, verified, with Rational fallback) — no boundary
-    // clamping applies.
-    if (!markov::solveAbsorptionModular(Chain, Absorption, Structure,
-                                        &Metrics))
-      fatalError("absorbing-chain solve failed (malformed chain)");
   } else {
     linalg::DenseMatrix<double> Approx;
     if (!markov::solveAbsorptionDouble(Chain, Approx, Solver, Structure,
@@ -313,10 +306,6 @@ FddRef FddManager::solveLoop(FddRef Guard, FddRef Body) {
   LastLoop.MaxBlockSize = Metrics.MaxBlockSize;
   LastLoop.EliminationOps = Metrics.EliminationOps;
   LastLoop.FillIn = Metrics.FillIn;
-  LastLoop.NumPrimes = Metrics.NumPrimes;
-  LastLoop.RetriedPrimes = Metrics.RetriedPrimes;
-  LastLoop.ReconstructionBits = Metrics.ReconstructionBits;
-  LastLoop.ModularFallbacks = Metrics.ModularFallbacks;
   LastLoop.Blocks = std::move(Metrics.Blocks);
 
 

@@ -210,6 +210,19 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
             "serial vs parallel compilation differ (direct solver)");
     C.check(VIter.compile(Program, true, O.ParallelThreads) == I,
             "serial vs parallel compilation differ (iterative solver)");
+    // SCC blocks scheduled on a worker pool (RCM-ordered structure): the
+    // exact engine must reproduce the serial diagram.
+    analysis::Verifier VPooled(markov::SolverKind::Exact);
+    markov::SolverStructure Pooled;
+    Pooled.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
+    Pooled.Pool = &VPooled.compilePool(O.ParallelThreads);
+    VPooled.setSolverStructure(Pooled);
+    fdd::FddRef P = VPooled.compile(Program);
+    C.check(fdd::importFdd(VPooled.manager(),
+                           fdd::exportFdd(VExact.manager(), E)) == P,
+            "pooled exact compile is not reference-equal to the serial "
+            "exact engine");
+    CheckStatSums(VPooled.manager().lastLoopStats(), "exact pooled");
   }
 
   // --- Per-input delivery / distribution agreement ----------------------
@@ -365,14 +378,6 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
     C.check(fdd::importFdd(VA.manager(), Unsliced) == VA.compile(Program),
             "all-fields slice changed the compiled diagram");
 
-    fdd::PortableFdd Sliced = fdd::exportFdd(VS.manager(), SE);
-    if (O.CheckModular) {
-      analysis::Verifier VM(markov::SolverKind::ModularExact);
-      VM.setSlice(&Ctx, ast::ObservationSet::delivery());
-      C.check(fdd::importFdd(VM.manager(), Sliced) == VM.compile(Program),
-              "sliced modular compile is not reference-equal to the "
-              "sliced Rational exact compile");
-    }
     if (O.CheckCompileCache) {
       std::unique_ptr<fdd::CompileCache> Local;
       fdd::CompileCache *Cache = O.Cache;
@@ -384,64 +389,12 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
       VC.setCompileCache(Cache);
       VC.setSlice(&Ctx, ast::ObservationSet::delivery());
       fdd::FddRef Cold = VC.compile(Program);
+      fdd::PortableFdd Sliced = fdd::exportFdd(VS.manager(), SE);
       C.check(fdd::importFdd(VC.manager(), Sliced) == Cold,
               "sliced cached cold compile is not reference-equal to the "
               "uncached sliced compile");
       C.check(VC.compile(Program) == Cold,
               "sliced cache-hit recompile differs from the sliced cold "
-              "compile");
-    }
-  }
-
-  // --- Modular exact solver cross-checks (ARCHITECTURE S14) -------------
-  // The multi-prime engine recovers the same unique rational solution as
-  // Rational elimination (every reconstruction is re-verified against
-  // fresh primes, with a Rational fallback when the prime budget runs
-  // out), so it is held to strict reference equality in EVERY
-  // configuration: serial, parallel-case, SCC blocks on a worker pool
-  // (block tasks and per-prime tasks composing on one engine), and
-  // cache-backed cold and hit paths.
-  if (O.CheckModular) {
-    fdd::PortableFdd Mono = fdd::exportFdd(VExact.manager(), E);
-
-    analysis::Verifier VM(markov::SolverKind::ModularExact);
-    fdd::FddRef M = VM.compile(Program);
-    C.check(fdd::importFdd(VM.manager(), Mono) == M,
-            "modular serial compile is not reference-equal to the "
-            "Rational exact engine");
-    CheckStatSums(VM.manager().lastLoopStats(), "modular serial");
-    if (O.CheckParallel)
-      C.check(VM.compile(Program, true, O.ParallelThreads) == M,
-              "modular parallel compile differs from the serial modular "
-              "compile");
-
-    if (O.CheckParallel) {
-      analysis::Verifier VMP(markov::SolverKind::ModularExact);
-      markov::SolverStructure SS;
-      SS.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
-      SS.Pool = &VMP.compilePool(O.ParallelThreads);
-      VMP.setSolverStructure(SS);
-      C.check(fdd::importFdd(VMP.manager(), Mono) == VMP.compile(Program),
-              "modular pooled compile is not reference-equal to the "
-              "Rational exact engine");
-      CheckStatSums(VMP.manager().lastLoopStats(), "modular pooled");
-    }
-
-    {
-      std::unique_ptr<fdd::CompileCache> Local;
-      fdd::CompileCache *Cache = O.Cache;
-      if (!Cache) {
-        Local = std::make_unique<fdd::CompileCache>();
-        Cache = Local.get();
-      }
-      analysis::Verifier VMC(markov::SolverKind::ModularExact);
-      VMC.setCompileCache(Cache);
-      fdd::FddRef Cold = VMC.compile(Program);
-      C.check(fdd::importFdd(VMC.manager(), Mono) == Cold,
-              "modular cached cold compile is not reference-equal to the "
-              "Rational exact engine");
-      C.check(VMC.compile(Program) == Cold,
-              "modular cache-hit recompile differs from the cold cached "
               "compile");
     }
   }

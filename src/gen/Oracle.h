@@ -64,13 +64,6 @@ struct OracleOptions {
   /// Inputs per case on which the cached engine's output distributions
   /// are compared point-for-point against the uncached one.
   std::size_t MaxCacheCheckInputs = 4;
-  /// Cross-check the multi-prime modular exact solver (docs/ARCHITECTURE.md
-  /// S14): ModularExact compiles — serial, parallel-case, with SCC blocks
-  /// on a worker pool (block tasks and per-prime tasks share one engine),
-  /// and cache-backed cold/hit — must all be reference-equal to the
-  /// Rational exact engine's diagram; reconstruction is verified, never
-  /// trusted, and per-block LoopSolveStats must sum to the totals.
-  bool CheckModular = true;
   /// Cross-check the serving layer (docs/ARCHITECTURE.md S16): an
   /// in-process Service + Session answering the line protocol must agree
   /// with the inline verifier — delivery probabilities and hop statistics
@@ -89,7 +82,7 @@ struct OracleOptions {
   /// diagram after projecting out-of-cone modifications away (out-of-cone
   /// tests whose projected children still differ are kept, so a missed
   /// dependency fails loudly); per-input delivery probabilities must be
-  /// string-equal; the sliced parallel / modular / cached engines must
+  /// string-equal; the sliced parallel / cached engines must
   /// reproduce the sliced serial diagram; the all-fields slice must not
   /// change the compiled diagram at all; and slicing must be idempotent.
   /// Scenarios additionally pin the sliced average delivery and the

@@ -41,26 +41,6 @@ inline void subMulAssign(Rational &Acc, const Rational &A, const Rational &B) {
   Acc.subMul(A, B);
 }
 
-/// Scalar-operations policy shared by the dense elimination kernels
-/// (linalg/Solve.h). The default instantiation routes through the fused
-/// helpers above, so T = Rational keeps its in-place int64 fast path and
-/// T = double compiles to plain arithmetic; linalg/ModSolve.h supplies a
-/// prime-field policy over raw uint64 residues so the mod-p kernels reuse
-/// the same loops instead of duplicating them. Policies may be stateful
-/// (the prime-field one carries its field), so kernels take an instance.
-template <typename T> struct DefaultScalarOps {
-  using Scalar = T;
-  static T zero() { return T(); }
-  static bool isZero(const T &V) { return V == T(); }
-  static void addMul(T &Acc, const T &A, const T &B) {
-    addMulAssign(Acc, A, B);
-  }
-  static void subMul(T &Acc, const T &A, const T &B) {
-    subMulAssign(Acc, A, B);
-  }
-  static T div(const T &A, const T &B) { return A / B; }
-};
-
 } // namespace detail
 
 /// Dense NumRows x NumCols matrix with row-major storage.

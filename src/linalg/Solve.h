@@ -33,24 +33,13 @@ inline double pivotWeight(const Rational &Value) {
   return 1.0 / (1.0 + Size);
 }
 
-/// DefaultScalarOps extended with the pivot heuristic above — the policy
-/// denseSolveInPlace() instantiates the shared kernel with.
-template <typename T> struct DefaultSolveOps : DefaultScalarOps<T> {
-  static double pivotWeight(const T &V) { return detail::pivotWeight(V); }
-};
 } // namespace detail
 
-/// Solves A X = B in place under a scalar-operations policy (see
-/// detail::DefaultScalarOps): on success B holds X and A is destroyed;
-/// returns false if A is singular under the policy's isZero(). The policy
-/// instance supplies zero/isZero/subMul/div/pivotWeight, so the same
-/// elimination loop serves double, Rational, and the prime-field residues
-/// of linalg/ModSolve.h.
-template <typename Ops>
-bool denseSolveInPlaceOps(const Ops &O,
-                          DenseMatrix<typename Ops::Scalar> &A,
-                          DenseMatrix<typename Ops::Scalar> &B) {
-  using T = typename Ops::Scalar;
+/// Solves A X = B in place: on success B holds X and A is destroyed.
+/// Returns false if A is singular. Works for T = double (partial pivoting by
+/// magnitude) and T = Rational (exact; pivot chosen to limit blow-up).
+template <typename T>
+bool denseSolveInPlace(DenseMatrix<T> &A, DenseMatrix<T> &B) {
   std::size_t N = A.numRows();
   if (N != A.numCols() || B.numRows() != N)
     return false;
@@ -62,9 +51,9 @@ bool denseSolveInPlaceOps(const Ops &O,
   for (std::size_t Step = 0; Step < N; ++Step) {
     // Select pivot among remaining rows.
     std::size_t Best = Step;
-    double BestWeight = O.pivotWeight(A.at(RowOf[Step], Step));
+    double BestWeight = detail::pivotWeight(A.at(RowOf[Step], Step));
     for (std::size_t I = Step + 1; I < N; ++I) {
-      double Weight = O.pivotWeight(A.at(RowOf[I], Step));
+      double Weight = detail::pivotWeight(A.at(RowOf[I], Step));
       if (Weight > BestWeight) {
         Best = I;
         BestWeight = Weight;
@@ -80,16 +69,16 @@ bool denseSolveInPlaceOps(const Ops &O,
     // fused subMul fast path with no operand temporaries.
     for (std::size_t I = Step + 1; I < N; ++I) {
       std::size_t Row = RowOf[I];
-      if (O.isZero(A.at(Row, Step)))
+      if (A.at(Row, Step) == T())
         continue;
-      T Factor = O.div(A.at(Row, Step), Pivot);
-      A.at(Row, Step) = O.zero();
+      T Factor = A.at(Row, Step) / Pivot;
+      A.at(Row, Step) = T();
       for (std::size_t J = Step + 1; J < N; ++J)
-        if (!O.isZero(A.at(PivRow, J)))
-          O.subMul(A.at(Row, J), Factor, A.at(PivRow, J));
+        if (A.at(PivRow, J) != T())
+          detail::subMulAssign(A.at(Row, J), Factor, A.at(PivRow, J));
       for (std::size_t J = 0; J < NumRhs; ++J)
-        if (!O.isZero(B.at(PivRow, J)))
-          O.subMul(B.at(Row, J), Factor, B.at(PivRow, J));
+        if (B.at(PivRow, J) != T())
+          detail::subMulAssign(B.at(Row, J), Factor, B.at(PivRow, J));
     }
   }
 
@@ -100,9 +89,9 @@ bool denseSolveInPlaceOps(const Ops &O,
     for (std::size_t J = 0; J < NumRhs; ++J) {
       T Value = B.at(Row, J);
       for (std::size_t K = Step + 1; K < N; ++K)
-        if (!O.isZero(A.at(Row, K)))
-          O.subMul(Value, A.at(Row, K), B.at(RowOf[K], J));
-      B.at(Row, J) = O.div(Value, Pivot);
+        if (A.at(Row, K) != T())
+          detail::subMulAssign(Value, A.at(Row, K), B.at(RowOf[K], J));
+      B.at(Row, J) = Value / Pivot;
     }
   }
 
@@ -113,14 +102,6 @@ bool denseSolveInPlaceOps(const Ops &O,
       X.at(Step, J) = B.at(RowOf[Step], J);
   B = std::move(X);
   return true;
-}
-
-/// Solves A X = B in place: on success B holds X and A is destroyed.
-/// Returns false if A is singular. Works for T = double (partial pivoting by
-/// magnitude) and T = Rational (exact; pivot chosen to limit blow-up).
-template <typename T>
-bool denseSolveInPlace(DenseMatrix<T> &A, DenseMatrix<T> &B) {
-  return denseSolveInPlaceOps(detail::DefaultSolveOps<T>(), A, B);
 }
 
 /// Iteratively solves (I - Q) x = b as x = lim (Q x + b) — the Neumann

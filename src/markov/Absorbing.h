@@ -4,9 +4,8 @@
 /// Absorbing Markov chain analysis (paper §4). Given the transient-to-
 /// transient block Q and transient-to-absorbing block R of an absorbing
 /// chain, computes the absorption probabilities A = (I - Q)^{-1} R
-/// (Equation 2 / Theorem 4.7). Four engines:
+/// (Equation 2 / Theorem 4.7). Three engines:
 ///   - exact:     sparse Gauss-Jordan elimination over Rational
-///   - modular:   multi-prime mod-p elimination + rational reconstruction
 ///   - direct:    sparse LU over double (the paper's UMFPACK configuration)
 ///   - iterative: Neumann-series iteration over double (PRISM-style approx)
 ///
@@ -62,30 +61,15 @@ enum class SolverKind {
   Exact,     ///< Rational Gaussian elimination; no rounding anywhere.
   Direct,    ///< Sparse LU over double (paper's native configuration).
   Iterative, ///< Neumann iteration over double.
-  ModularExact, ///< Multi-prime mod-p elimination + CRT/rational
-                ///< reconstruction; exact, reference-equal to Exact
-                ///< (docs/ARCHITECTURE.md S14).
 };
 
-/// Knobs of the multi-prime modular engine (SolverKind::ModularExact).
-/// The defaults handle every well-formed chain; tests shrink MaxPrimes to
-/// force the Rational fallback and shift FirstPrimeIndex to replay an
-/// unlucky-prime walk from a printed seed.
-struct ModularOptions {
-  /// Prime budget: once this many primes have been accepted without a
-  /// verified reconstruction, the solve falls back to the Rational
-  /// kernel (recorded in SolveMetrics::ModularFallbacks). The modulus
-  /// only ever grows to just past the largest answer (attempts confirm
-  /// entries incrementally), so the default is a runaway guard — ~250k
-  /// bits of answer — not a tuning knob.
-  std::size_t MaxPrimes = 4096;
-  /// Fresh primes the reconstructed solution is re-verified against
-  /// (residue check of the full system) before being accepted.
-  std::size_t CheckPrimes = 2;
-  /// Index into the deterministic modPrime() table where this solve
-  /// starts drawing primes.
-  std::size_t FirstPrimeIndex = 0;
-};
+/// Number of SolverKind values; per-kind tables are sized by it. The
+/// values are persisted as bytes (fdd/CacheStore), which keeps byte 3 for
+/// a retired engine.
+constexpr std::size_t NumSolverKinds = 3;
+static_assert(static_cast<std::size_t>(SolverKind::Iterative) + 1 ==
+                  NumSolverKinds,
+              "NumSolverKinds must count every SolverKind");
 
 /// Knobs of the solve structure, orthogonal to SolverKind.
 struct SolverStructure {
@@ -95,11 +79,8 @@ struct SolverStructure {
   linalg::OrderingKind Ordering = linalg::OrderingKind::Natural;
   /// When non-null, independent blocks solve concurrently on this pool
   /// (dependency-counted DAG schedule). Null solves blocks serially in id
-  /// order. The ModularExact engine also fans independent primes out on
-  /// the same pool (the pool is nestable, so blocks and primes compose).
+  /// order.
   ThreadPool *Pool = nullptr;
-  /// Multi-prime knobs; only read by SolverKind::ModularExact.
-  ModularOptions Modular;
 };
 
 /// Elimination statistics of one solve block.
@@ -120,15 +101,6 @@ struct SolveMetrics {
   std::size_t MaxBlockSize = 0;
   std::size_t EliminationOps = 0;
   std::size_t FillIn = 0;
-  /// ModularExact only (zero elsewhere): primes accepted into the CRT
-  /// product, unlucky primes discarded along the way, the bit length of
-  /// the prime product backing the accepted reconstruction (max over
-  /// blocks), and blocks that exhausted the prime
-  /// budget and fell back to the Rational kernel.
-  std::size_t NumPrimes = 0;
-  std::size_t RetriedPrimes = 0;
-  std::size_t ReconstructionBits = 0;
-  std::size_t ModularFallbacks = 0;
   std::vector<BlockMetrics> Blocks; ///< Indexed by block id.
 };
 
@@ -158,19 +130,6 @@ bool solveAbsorptionExact(const AbsorbingChain &Chain,
                           linalg::DenseMatrix<Rational> &Out,
                           const SolverStructure &Structure = {},
                           SolveMetrics *Metrics = nullptr);
-
-/// Exact absorption probabilities via the multi-prime modular engine
-/// (docs/ARCHITECTURE.md S14): solve mod word-size primes with the
-/// allocation-free linalg/ModSolve.h kernels, recover Rationals by CRT +
-/// rational reconstruction, verify the reconstruction against fresh
-/// primes, and fall back to the Rational kernel if the prime budget runs
-/// out. Reference-equal to solveAbsorptionExact by construction; the
-/// same divergence and singularity conventions apply. Independent SCC
-/// blocks and independent primes both fan out on Structure.Pool.
-bool solveAbsorptionModular(const AbsorbingChain &Chain,
-                            linalg::DenseMatrix<Rational> &Out,
-                            const SolverStructure &Structure = {},
-                            SolveMetrics *Metrics = nullptr);
 
 /// Floating-point absorption probabilities via per-block sparse LU
 /// (Direct) or whole-system Neumann iteration (Iterative). Returns false
@@ -211,27 +170,6 @@ bool luSolveOrdered(std::size_t N,
                     linalg::DenseMatrix<double> &Rhs,
                     linalg::OrderingKind Ordering,
                     std::size_t &EliminationOps, std::size_t &FillIn);
-
-/// Modular-engine counters of one block solve (folded into SolveMetrics
-/// after the DAG completes).
-struct ModularStats {
-  std::size_t NumPrimes = 0;
-  std::size_t RetriedPrimes = 0;
-  std::size_t ReconstructionBits = 0;
-};
-
-/// Multi-prime modular solve of the same system layout
-/// eliminateRationalSystem consumes — but \p Rows is read non-
-/// destructively, so on a false return (prime budget exhausted without a
-/// verified reconstruction, or the system is singular mod every prime
-/// tried) the caller can run the Rational kernel on the untouched
-/// system. On success \p Rhs holds the verified exact solution.
-/// Independent primes fan out on \p Pool when non-null.
-bool modularEliminateSystem(
-    const std::vector<std::map<std::size_t, Rational>> &Rows,
-    std::vector<std::vector<Rational>> &Rhs, linalg::OrderingKind Ordering,
-    ThreadPool *Pool, const ModularOptions &Options,
-    std::size_t &EliminationOps, std::size_t &FillIn, ModularStats &Stats);
 
 } // namespace detail
 

@@ -17,9 +17,8 @@
 /// ordered behind the writer by the scheduling edge.
 ///
 /// The engines differ only in the per-block assembly (Rational or double)
-/// and the kernel run on it: Rational elimination (Exact), multi-prime
-/// elimination with a Rational fallback (ModularExact), ordered sparse LU
-/// (Direct), or Neumann iteration (Iterative, which plans the whole
+/// and the kernel run on it: Rational elimination (Exact), ordered sparse
+/// LU (Direct), or Neumann iteration (Iterative, which plans the whole
 /// pruned system as one block).
 ///
 //===----------------------------------------------------------------------===//
@@ -208,7 +207,7 @@ bool solvePlan(const AbsorbingChain &Chain, const BlockPlan &Plan,
 }
 
 /// Assembles block \p B's Rational system in the layout the exact
-/// kernels consume: Rows holds I - Q_BB (local indices), Rhs holds
+/// kernel consumes: Rows holds I - Q_BB (local indices), Rhs holds
 /// R_B + Q_{B,ext} A_ext with every successor block's rows read from
 /// \p Absorb.
 void assembleRationalBlock(const BlockPlan &Plan, std::size_t B,
@@ -293,75 +292,28 @@ bool neumannSolveColumns(std::size_t N, const std::vector<Triplet> &QT,
   return true;
 }
 
-/// The Exact and ModularExact engines: one assembly, one driver; they
-/// differ only in the kernel run on each block.
-bool solveAbsorptionRational(const AbsorbingChain &Chain,
-                             DenseMatrix<Rational> &Out,
-                             const SolverStructure &Structure,
-                             SolveMetrics *Metrics, bool Modular) {
-  BlockPlan Plan = planBlocks(Chain, /*OneBlock=*/false);
-  // Per-block modular counters, folded after the DAG completes (tasks
-  // write only their own slot).
-  std::vector<detail::ModularStats> Stats(Modular ? Plan.Scc.NumBlocks : 0);
-  std::vector<char> FellBack(Stats.size(), 0);
-
-  auto SolveBlock = [&](std::size_t B, DenseMatrix<Rational> &Absorb,
-                        BlockMetrics &BM) {
-    std::vector<std::map<std::size_t, Rational>> Rows;
-    std::vector<std::vector<Rational>> Rhs;
-    assembleRationalBlock(Plan, B, Absorb, Rows, Rhs, BM);
-    // Independent primes fan out on the same pool the blocks run on —
-    // the pool is nestable (help-first workers), so a block task's
-    // parallelFor executes pending prime chunks inline. On a false
-    // return the modular kernel has left Rows untouched, so the Rational
-    // kernel takes over authoritatively.
-    bool Solved = Modular && detail::modularEliminateSystem(
-                                 Rows, Rhs, Structure.Ordering,
-                                 Structure.Pool, Structure.Modular,
-                                 BM.EliminationOps, BM.FillIn, Stats[B]);
-    if (!Solved) {
-      if (Modular)
-        FellBack[B] = 1;
-      if (!detail::eliminateRationalSystem(Rows, Rhs, BM.EliminationOps,
-                                           BM.FillIn))
-        return false;
-    }
-    const std::vector<std::size_t> &Members = Plan.Scc.Blocks[B];
-    for (std::size_t L = 0; L < Members.size(); ++L)
-      for (std::size_t C = 0; C < Absorb.numCols(); ++C)
-        Absorb.at(Members[L], C) = std::move(Rhs[L][C]);
-    return true;
-  };
-
-  if (!solvePlan(Chain, Plan, Structure.Pool, Out, Metrics, SolveBlock))
-    return false;
-  if (Metrics)
-    for (std::size_t B = 0; B < Stats.size(); ++B) {
-      Metrics->NumPrimes += Stats[B].NumPrimes;
-      Metrics->RetriedPrimes += Stats[B].RetriedPrimes;
-      Metrics->ReconstructionBits =
-          std::max(Metrics->ReconstructionBits, Stats[B].ReconstructionBits);
-      Metrics->ModularFallbacks += FellBack[B];
-    }
-  return true;
-}
-
 } // namespace
 
 bool markov::solveAbsorptionExact(const AbsorbingChain &Chain,
                                   DenseMatrix<Rational> &Out,
                                   const SolverStructure &Structure,
                                   SolveMetrics *Metrics) {
-  return solveAbsorptionRational(Chain, Out, Structure, Metrics,
-                                 /*Modular=*/false);
-}
-
-bool markov::solveAbsorptionModular(const AbsorbingChain &Chain,
-                                    DenseMatrix<Rational> &Out,
-                                    const SolverStructure &Structure,
-                                    SolveMetrics *Metrics) {
-  return solveAbsorptionRational(Chain, Out, Structure, Metrics,
-                                 /*Modular=*/true);
+  BlockPlan Plan = planBlocks(Chain, /*OneBlock=*/false);
+  auto SolveBlock = [&](std::size_t B, DenseMatrix<Rational> &Absorb,
+                        BlockMetrics &BM) {
+    std::vector<std::map<std::size_t, Rational>> Rows;
+    std::vector<std::vector<Rational>> Rhs;
+    assembleRationalBlock(Plan, B, Absorb, Rows, Rhs, BM);
+    if (!detail::eliminateRationalSystem(Rows, Rhs, BM.EliminationOps,
+                                         BM.FillIn))
+      return false;
+    const std::vector<std::size_t> &Members = Plan.Scc.Blocks[B];
+    for (std::size_t L = 0; L < Members.size(); ++L)
+      for (std::size_t C = 0; C < Absorb.numCols(); ++C)
+        Absorb.at(Members[L], C) = std::move(Rhs[L][C]);
+    return true;
+  };
+  return solvePlan(Chain, Plan, Structure.Pool, Out, Metrics, SolveBlock);
 }
 
 bool markov::solveAbsorptionDouble(const AbsorbingChain &Chain,
@@ -369,8 +321,7 @@ bool markov::solveAbsorptionDouble(const AbsorbingChain &Chain,
                                    SolverKind Kind,
                                    const SolverStructure &Structure,
                                    SolveMetrics *Metrics) {
-  assert(Kind != SolverKind::Exact && Kind != SolverKind::ModularExact &&
-         "use solveAbsorptionExact / solveAbsorptionModular");
+  assert(Kind != SolverKind::Exact && "use solveAbsorptionExact");
   // Iterative's convergence test is a whole-system residual, so it plans
   // the pruned system as a single block.
   bool Iterative = Kind == SolverKind::Iterative;

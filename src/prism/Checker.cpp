@@ -432,13 +432,9 @@ bool prism::checkReachability(const Model &M, const GuardExpr &Goal,
     return true;
   }
 
-  if (Solver == markov::SolverKind::Exact ||
-      Solver == markov::SolverKind::ModularExact) {
+  if (Solver == markov::SolverKind::Exact) {
     linalg::DenseMatrix<Rational> A;
-    bool Ok = Solver == markov::SolverKind::Exact
-                  ? markov::solveAbsorptionExact(Chain, A)
-                  : markov::solveAbsorptionModular(Chain, A);
-    if (!Ok) {
+    if (!markov::solveAbsorptionExact(Chain, A)) {
       Error = "absorbing solve failed";
       return false;
     }

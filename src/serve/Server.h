@@ -224,8 +224,8 @@ private:
   std::vector<std::thread> ConnThreads;
 };
 
-/// Maps "exact" / "direct" / "iterative" / "modular-exact" to a solver
-/// kind; returns false on unknown names. Inverse of solverKindName.
+/// Maps "exact" / "direct" / "iterative" to a solver kind; returns false
+/// on unknown names. Inverse of solverKindName.
 bool parseSolverKind(const std::string &Name, markov::SolverKind &Out);
 const char *solverKindName(markov::SolverKind Kind);
 

@@ -4,8 +4,8 @@
 /// BigInt arithmetic: an inline int64 fast path (overflow detected with the
 /// `__builtin_*_overflow` intrinsics, widened through __int128 on spill)
 /// over sign-magnitude bignum arithmetic on 32-bit limbs — schoolbook
-/// multiplication and Knuth Algorithm D division. The representation is
-/// canonical: values are inline iff they fit int64_t.
+/// multiplication, Knuth Algorithm D division and Lehmer's gcd. The
+/// representation is canonical: values are inline iff they fit int64_t.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -115,17 +115,6 @@ unsigned BigInt::bitLength() const {
 int64_t BigInt::toInt64() const {
   assert(fitsInt64() && "BigInt does not fit in int64_t");
   return Small;
-}
-
-uint64_t BigInt::modU64(uint64_t Mod) const {
-  assert(Mod != 0 && "modulus must be nonzero");
-  if (SmallRep)
-    return magnitudeOf(Small) % Mod;
-  // Horner over the limbs, most-significant first: r = (r·2^32 + limb) % Mod.
-  unsigned __int128 R = 0;
-  for (std::size_t I = Limbs.size(); I-- > 0;)
-    R = ((R << LimbBits) | Limbs[I]) % Mod;
-  return static_cast<uint64_t>(R);
 }
 
 std::vector<uint64_t> BigInt::magnitudeLimbs64() const {
@@ -650,18 +639,182 @@ uint64_t BigInt::gcdU64(uint64_t A, uint64_t B) {
   return A << CommonShift;
 }
 
-BigInt BigInt::gcd(const BigInt &A, const BigInt &B) {
-  BigInt X = A.abs(), Y = B.abs();
-  while (!Y.isZero()) {
-    if (X.SmallRep && Y.SmallRep)
-      return fromMagnitude(
-          false, gcdU64(magnitudeOf(X.Small), magnitudeOf(Y.Small)));
-    BigInt R = X % Y;
-    X = std::move(Y);
-    Y = std::move(R);
+namespace {
+
+/// The Lehmer phase of BigInt::gcd runs on little-endian 64-bit limb
+/// vectors (the magnitudeLimbs64 format) rather than BigInt: every window
+/// applies a 2x2 word matrix to two multi-limb values, and doing that
+/// through BigInt temporaries costs an allocation per multiply plus 32-bit
+/// schoolbook arithmetic. The kernels below fuse each row into one
+/// carry-propagating pass over reusable scratch buffers.
+using Limbs64 = std::vector<uint64_t>;
+
+unsigned limbsBitLength(const Limbs64 &V) {
+  if (V.empty())
+    return 0;
+  return 64 * static_cast<unsigned>(V.size() - 1) +
+         (64 - static_cast<unsigned>(__builtin_clzll(V.back())));
+}
+
+/// Bits [Shift, Shift+62) of \p V. Callers align Shift to the top of the
+/// larger operand, so no value has bits at or above Shift+62.
+uint64_t limbsWindow(const Limbs64 &V, unsigned Shift) {
+  std::size_t I = Shift / 64;
+  unsigned Off = Shift % 64;
+  if (I >= V.size())
+    return 0;
+  uint64_t W = V[I] >> Off;
+  if (Off != 0 && I + 1 < V.size())
+    W |= V[I + 1] << (64 - Off);
+  return W;
+}
+
+/// One Lehmer window (Knuth 4.5.2 Algorithm L): simulate the Euclidean
+/// remainder sequence of (R0, R1) on the leading 62 bits with word-size
+/// cofactors, advancing only while the classic double-quotient agreement
+/// test proves the simulated quotient equals the true one. On return,
+/// (R0', R1') = (A·R0 + B·R1, C·R0 + D·R1) holds for the simulated number
+/// of true Euclidean steps; B == 0 means no step was certain and the
+/// caller must fall back to one full-precision division.
+void lehmerWindow(uint64_t X, uint64_t Y, int64_t &A, int64_t &B, int64_t &C,
+                  int64_t &D) {
+  A = 1;
+  B = 0;
+  C = 0;
+  D = 1;
+  int64_t SX = static_cast<int64_t>(X);
+  int64_t SY = static_cast<int64_t>(Y);
+  for (;;) {
+    // The true remainders are bracketed by (y+C, y+D); once either bound
+    // hits zero the window has no more certain quotients.
+    int64_t YC, YD, XA, XB;
+    if (__builtin_add_overflow(SY, C, &YC) ||
+        __builtin_add_overflow(SY, D, &YD) || YC == 0 || YD == 0 ||
+        __builtin_add_overflow(SX, A, &XA) ||
+        __builtin_add_overflow(SX, B, &XB))
+      return;
+    int64_t Q = XA / YC;
+    if (Q != XB / YD)
+      return;
+    int64_t T, QT;
+    if (__builtin_mul_overflow(Q, C, &QT) || __builtin_sub_overflow(A, QT, &T))
+      return;
+    A = C;
+    C = T;
+    if (__builtin_mul_overflow(Q, D, &QT) || __builtin_sub_overflow(B, QT, &T))
+      return;
+    B = D;
+    D = T;
+    if (__builtin_mul_overflow(Q, SY, &QT) ||
+        __builtin_sub_overflow(SX, QT, &T))
+      return;
+    SX = SY;
+    SY = T;
   }
-  return X; // Non-negative: abs seeds, and remainders keep the sign of
-            // their (non-negative) dividends.
+}
+
+/// Out = A·X + B·Y (magnitudes; A, B < 2^63). One pass: the 128-bit
+/// accumulator absorbs both products and the running carry.
+void linAddLimbs(Limbs64 &Out, uint64_t A, const Limbs64 &X, uint64_t B,
+                 const Limbs64 &Y) {
+  std::size_t N = std::max(X.size(), Y.size()) + 1;
+  Out.resize(N);
+  unsigned __int128 Carry = 0;
+  for (std::size_t I = 0; I < N; ++I) {
+    unsigned __int128 T = Carry;
+    if (I < X.size())
+      T += static_cast<unsigned __int128>(A) * X[I];
+    if (I < Y.size())
+      T += static_cast<unsigned __int128>(B) * Y[I];
+    Out[I] = static_cast<uint64_t>(T);
+    Carry = T >> 64;
+  }
+  assert(Carry == 0 && "linAddLimbs overflowed its output limb");
+  while (!Out.empty() && Out.back() == 0)
+    Out.pop_back();
+}
+
+/// Out = A·X - B·Y; the caller guarantees the result is nonnegative (the
+/// remainder-sequence invariant). Signed 128-bit borrow propagation.
+void linSubLimbs(Limbs64 &Out, uint64_t A, const Limbs64 &X, uint64_t B,
+                 const Limbs64 &Y) {
+  std::size_t N = std::max(X.size(), Y.size()) + 1;
+  Out.resize(N);
+  __int128 Carry = 0;
+  for (std::size_t I = 0; I < N; ++I) {
+    __int128 T = Carry;
+    if (I < X.size())
+      T += static_cast<__int128>(static_cast<unsigned __int128>(A) * X[I]);
+    if (I < Y.size())
+      T -= static_cast<__int128>(static_cast<unsigned __int128>(B) * Y[I]);
+    Out[I] = static_cast<uint64_t>(T);
+    Carry = T >> 64; // Arithmetic shift: floor division by 2^64.
+  }
+  assert(Carry == 0 && "linSubLimbs produced a negative value");
+  while (!Out.empty() && Out.back() == 0)
+    Out.pop_back();
+}
+
+/// Out = P·U + Q·V for a window-matrix row applied to the (nonnegative)
+/// remainder pair: one coefficient is >= 0 and the other <= 0, and the
+/// result is a true remainder, hence nonnegative.
+void applyRemainderRow(Limbs64 &Out, int64_t P, const Limbs64 &U, int64_t Q,
+                       const Limbs64 &V) {
+  if (P >= 0 && Q >= 0)
+    linAddLimbs(Out, static_cast<uint64_t>(P), U, static_cast<uint64_t>(Q), V);
+  else if (P >= 0)
+    linSubLimbs(Out, static_cast<uint64_t>(P), U, static_cast<uint64_t>(-Q),
+                V);
+  else
+    linSubLimbs(Out, static_cast<uint64_t>(Q), V, static_cast<uint64_t>(-P),
+                U);
+}
+
+/// Magnitude of \p V modulo the nonzero word \p Mod: one Horner pass,
+/// most-significant limb first.
+uint64_t limbsModU64(const Limbs64 &V, uint64_t Mod) {
+  unsigned __int128 R = 0;
+  for (std::size_t I = V.size(); I-- > 0;)
+    R = ((R << 64) | V[I]) % Mod;
+  return static_cast<uint64_t>(R);
+}
+
+} // namespace
+
+BigInt BigInt::gcd(const BigInt &A, const BigInt &B) {
+  if (A.SmallRep && B.SmallRep)
+    return fromMagnitude(false,
+                         gcdU64(magnitudeOf(A.Small), magnitudeOf(B.Small)));
+  // Lehmer phase: while both remainders exceed 62 bits, each window
+  // replaces a run of Euclidean steps (one full division each) by two
+  // fused row passes over the limbs.
+  Limbs64 R0 = A.magnitudeLimbs64(), R1 = B.magnitudeLimbs64();
+  if (limbsBitLength(R0) < limbsBitLength(R1))
+    std::swap(R0, R1);
+  Limbs64 S0, S1; // Ping-pong scratch; capacity persists across windows.
+  while (limbsBitLength(R1) > 62) {
+    unsigned Shift = limbsBitLength(R0) - 62;
+    int64_t WA, WB, WC, WD;
+    lehmerWindow(limbsWindow(R0, Shift), limbsWindow(R1, Shift), WA, WB, WC,
+                 WD);
+    if (WB == 0) {
+      // The window certified no quotient (a huge true quotient): take one
+      // exact step instead.
+      BigInt Rem = fromLimbs64(false, R0) % fromLimbs64(false, R1);
+      R0 = std::move(R1);
+      R1 = Rem.magnitudeLimbs64();
+      continue;
+    }
+    applyRemainderRow(S0, WA, R0, WB, R1);
+    applyRemainderRow(S1, WC, R0, WD, R1);
+    std::swap(R0, S0);
+    std::swap(R1, S1);
+  }
+  // Word tail: R1 fits 62 bits, so one Horner reduction of R0 leaves two
+  // words for the binary GCD.
+  if (R1.empty())
+    return fromLimbs64(false, R0);
+  return fromMagnitude(false, gcdU64(limbsModU64(R0, R1[0]), R1[0]));
 }
 
 BigInt BigInt::pow(const BigInt &Base, unsigned Exp) {

@@ -7,7 +7,8 @@
 /// probability numerators and denominators — live inline in an int64_t with
 /// no heap allocation; only values outside the int64_t range spill into a
 /// sign-magnitude little-endian 32-bit limb vector (schoolbook
-/// multiplication, Knuth Algorithm D division). See docs/ARCHITECTURE.md S9.
+/// multiplication, Knuth Algorithm D division, Lehmer gcd). See
+/// docs/ARCHITECTURE.md S9.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,14 +62,9 @@ public:
   /// Value as int64_t; asserts fitsInt64().
   int64_t toInt64() const;
 
-  /// Magnitude modulo a word-sized modulus (sign ignored; asserts
-  /// Mod != 0). The workhorse of the modular solver's CRT fold
-  /// (support/ModArith.h): one Horner pass over the limbs, no allocation.
-  uint64_t modU64(uint64_t Mod) const;
-
-  /// Magnitude as little-endian 64-bit limbs (empty for zero). The
-  /// batched-EGCD kernels of rational reconstruction (support/ModArith.h)
-  /// run on raw 64-bit words; these two hops convert at entry and exit.
+  /// Magnitude as little-endian 64-bit limbs (empty for zero): the
+  /// interchange format of the Lehmer gcd kernels and the cache store's
+  /// record codec.
   std::vector<uint64_t> magnitudeLimbs64() const;
   /// Rebuilds a value from 64-bit limbs (trailing zeros allowed; the
   /// result is canonicalized).
@@ -113,7 +109,10 @@ public:
   BigInt shl(unsigned Bits) const;
   BigInt shr(unsigned Bits) const;
 
-  /// Greatest common divisor of magnitudes; gcd(0,0) == 0.
+  /// Greatest common divisor of magnitudes; gcd(0,0) == 0. Two inline
+  /// values take the binary GCD (gcdU64); while both remainders exceed 62
+  /// bits, Lehmer windows batch the Euclidean steps on 64-bit limbs, and a
+  /// one-word tail finishes on gcdU64.
   static BigInt gcd(const BigInt &A, const BigInt &B);
 
   /// Binary GCD on word-sized magnitudes (public so Rational's int64 fast

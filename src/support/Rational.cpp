@@ -107,19 +107,6 @@ Rational::Rational(BigInt Numerator, BigInt Denominator)
   normalize();
 }
 
-Rational Rational::fromCoprime(BigInt Numerator, BigInt Denominator) {
-  assert(!Denominator.isZero() && !Denominator.isNegative() &&
-         "fromCoprime requires a positive denominator");
-  assert((!Numerator.isZero() || Denominator.isOne()) &&
-         "canonical zero is 0/1");
-  assert(BigInt::gcd(Numerator, Denominator).isOne() &&
-         "fromCoprime requires a reduced fraction");
-  Rational R;
-  R.Num = std::move(Numerator);
-  R.Den = std::move(Denominator);
-  return R;
-}
-
 void Rational::normalize() {
   if (isSmallPair()) {
     int64_t N = Num.toInt64(), D = Den.toInt64();

@@ -35,14 +35,6 @@ public:
   static Rational zero() { return Rational(); }
   static Rational one() { return Rational(1); }
 
-  /// Builds a rational from a pair that is already canonical: Denominator
-  /// > 0 and gcd(|Numerator|, Denominator) == 1 (asserted in debug
-  /// builds). Callers that can prove coprimality — rational reconstruction
-  /// returns convergents whose gcd check already ran (support/ModArith.h)
-  /// — use this to skip the normalizing gcd, which at multi-limb sizes
-  /// costs as much as the computation that produced the pair.
-  static Rational fromCoprime(BigInt Numerator, BigInt Denominator);
-
   /// Parses "n", "-n", or "n/d" decimal forms. Returns false on malformed
   /// input or zero denominator.
   static bool fromString(const std::string &Text, Rational &Out);

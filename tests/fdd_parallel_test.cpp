@@ -285,52 +285,6 @@ TEST(ParallelCompileTest, BlockedLoopsNestInsideParallelCase) {
   }
 }
 
-TEST(ParallelCompileTest, ConcurrentModularSolvesOnOneEngine) {
-  // The S14 analogue of ConcurrentBlockedSolvesOnOneEngine: many modular
-  // solves race on one engine, each fanning its per-prime batch out via
-  // parallelFor while sibling solves (themselves pool tasks) do the same,
-  // with block tasks on top; the second solve adds an RCM ordering. The
-  // lazily extended prime table is shared by every worker, so this pins
-  // its locking and the per-prime result slots under ThreadSanitizer
-  // (./ci.sh tsan).
-  ThreadPool Pool(4);
-  constexpr std::size_t NumSolves = 12;
-  std::vector<char> Agree(NumSolves, 0);
-  Pool.parallelFor(NumSolves, [&](std::size_t I) {
-    std::mt19937_64 Rng(0x40DA7ULL + I);
-    markov::AbsorbingChain Chain;
-    Chain.NumTransient = 6 + I % 20;
-    Chain.NumAbsorbing = 2;
-    for (std::size_t Row = 0; Row < Chain.NumTransient; ++Row) {
-      std::size_t Deg = 1 + Rng() % 3;
-      for (std::size_t E = 0; E < Deg; ++E)
-        Chain.QEntries.push_back(
-            {Row, Rng() % Chain.NumTransient,
-             Rational(1, static_cast<int64_t>(2 * Deg))});
-      if (Row % 3 == 0 || Row + 1 == Chain.NumTransient)
-        Chain.REntries.push_back(
-            {Row, Rng() % Chain.NumAbsorbing, Rational(1, 4)});
-    }
-    linalg::DenseMatrix<Rational> Exact, Modular, ModularOrdered;
-    bool OkExact = markov::solveAbsorptionExact(Chain, Exact);
-    markov::SolverStructure S;
-    S.Pool = &Pool;
-    bool OkModular = markov::solveAbsorptionModular(Chain, Modular, S);
-    S.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
-    bool OkOrdered =
-        markov::solveAbsorptionModular(Chain, ModularOrdered, S);
-    bool Same = OkExact == OkModular && OkExact == OkOrdered;
-    if (Same && OkExact)
-      for (std::size_t R = 0; R < Chain.NumTransient; ++R)
-        for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C)
-          Same = Same && Exact.at(R, C) == Modular.at(R, C) &&
-                 Exact.at(R, C) == ModularOrdered.at(R, C);
-    Agree[I] = Same ? 1 : 0;
-  });
-  for (std::size_t I = 0; I < NumSolves; ++I)
-    EXPECT_TRUE(Agree[I]) << "solve " << I;
-}
-
 TEST(ParallelCompileTest, VerifierOwnsOnePersistentPool) {
   CaseFixture F(301u);
   analysis::Verifier V;

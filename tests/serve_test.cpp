@@ -81,7 +81,7 @@ TEST(CacheRecordCodec, RoundTripsRealDiagrams) {
         "while sw=1 do (sw:=2 +[1/3] sw:=1)", BigProgram}) {
     fdd::CacheRecord Record;
     Record.Key = {0x0123456789abcdefULL, 0xfedcba9876543210ULL};
-    Record.Solver = markov::SolverKind::ModularExact;
+    Record.Solver = markov::SolverKind::Direct;
     Record.Diagram = compileToPortable(Source);
 
     std::vector<uint8_t> Bytes = fdd::encodeCacheRecord(Record);
@@ -350,6 +350,117 @@ TEST(CacheStore, MaybeCompactHonorsThresholds) {
   std::remove(Path.c_str());
 }
 
+namespace {
+
+/// Frames \p Payload the way the store does (u32 length, u64 FNV-1a
+/// checksum, payload; little-endian) and appends it to the file at
+/// \p Path.
+void appendRawRecord(const std::string &Path,
+                     const std::vector<uint8_t> &Payload) {
+  uint64_t Sum = 0xcbf29ce484222325ULL;
+  for (uint8_t B : Payload) {
+    Sum ^= B;
+    Sum *= 0x100000001b3ULL;
+  }
+  std::vector<uint8_t> Bytes = readFileBytes(Path);
+  for (unsigned I = 0; I < 4; ++I)
+    Bytes.push_back(static_cast<uint8_t>(Payload.size() >> (8 * I)));
+  for (unsigned I = 0; I < 8; ++I)
+    Bytes.push_back(static_cast<uint8_t>(Sum >> (8 * I)));
+  Bytes.insert(Bytes.end(), Payload.begin(), Payload.end());
+  writeFileBytes(Path, Bytes);
+}
+
+/// An encoded record whose solver byte (payload offset 16, after the two
+/// key words) is overwritten with \p SolverByte.
+std::vector<uint8_t> recordWithSolverByte(const ast::ProgramHash &Key,
+                                          uint8_t SolverByte) {
+  fdd::CacheRecord Record;
+  Record.Key = Key;
+  Record.Diagram = compileToPortable("sw:=1");
+  std::vector<uint8_t> Payload = fdd::encodeCacheRecord(Record);
+  Payload[16] = SolverByte;
+  return Payload;
+}
+
+} // namespace
+
+TEST(CacheStore, RetiredModularExactRecordsAreDeadNotCorrupt) {
+  // Stores written while the "modular-exact" engine existed may hold
+  // records with its solver byte 3 between valid ones. Opening such a
+  // store must keep every valid record after it, count the retired one
+  // as dead, and let compaction drop it.
+  std::string Path = tempPath("retired");
+  fdd::PortableFdd Diagram = compileToPortable(BigProgram);
+  std::string Error;
+  {
+    auto Store = fdd::CacheStore::open(Path, &Error);
+    ASSERT_TRUE(Store) << Error;
+    ASSERT_TRUE(Store->append({1, 1}, markov::SolverKind::Exact, Diagram));
+  }
+  appendRawRecord(Path, recordWithSolverByte({2, 2}, 3));
+  std::size_t RetiredFileBytes = readFileBytes(Path).size();
+  {
+    auto Store = fdd::CacheStore::open(Path, &Error);
+    ASSERT_TRUE(Store) << Error;
+    EXPECT_EQ(Store->stats().FileBytes, RetiredFileBytes);
+    ASSERT_TRUE(Store->append({3, 3}, markov::SolverKind::Exact, Diagram));
+  }
+
+  fdd::CacheStore::Options Opts;
+  Opts.CompactMinRecords = 1;
+  Opts.CompactDeadRatio = 0.2;
+  auto Store = fdd::CacheStore::open(Path, &Error, Opts);
+  ASSERT_TRUE(Store) << Error;
+  fdd::CacheStore::Stats S = Store->stats();
+  EXPECT_EQ(S.TornBytesDropped, 0u);
+  EXPECT_EQ(S.CorruptRecordsDropped, 0u);
+  EXPECT_EQ(S.LiveRecords, 2u);
+  EXPECT_EQ(S.DeadRecords, 1u);
+  fdd::CompileCache Cache(8);
+  EXPECT_EQ(Store->warm(Cache), 2u);
+  std::shared_ptr<const fdd::PortableFdd> Hit;
+  EXPECT_TRUE(Cache.lookup({1, 1}, markov::SolverKind::Exact, Hit));
+  EXPECT_TRUE(Cache.lookup({3, 3}, markov::SolverKind::Exact, Hit));
+  EXPECT_FALSE(Cache.lookup({2, 2}, markov::SolverKind::Exact, Hit));
+
+  // One dead record in three is over the 0.2 threshold.
+  std::size_t BytesBefore = S.FileBytes;
+  ASSERT_TRUE(Store->maybeCompact(&Error)) << Error;
+  S = Store->stats();
+  EXPECT_EQ(S.Compactions, 1u);
+  EXPECT_EQ(S.DeadRecords, 0u);
+  EXPECT_EQ(S.LiveRecords, 2u);
+  EXPECT_LT(S.FileBytes, BytesBefore);
+  auto Reopened = fdd::CacheStore::open(Path, &Error);
+  ASSERT_TRUE(Reopened) << Error;
+  EXPECT_EQ(Reopened->stats().DeadRecords, 0u);
+  EXPECT_EQ(Reopened->stats().FileBytes, S.FileBytes);
+  fdd::CompileCache After(8);
+  EXPECT_EQ(Reopened->warm(After), 2u);
+  std::remove(Path.c_str());
+}
+
+TEST(CacheStore, SolverBytesAboveTheRetiredOneStayCorrupt) {
+  std::string Path = tempPath("badkind");
+  fdd::PortableFdd Diagram = compileToPortable(BigProgram);
+  std::string Error;
+  std::size_t GoodBytes = 0;
+  {
+    auto Store = fdd::CacheStore::open(Path, &Error);
+    ASSERT_TRUE(Store) << Error;
+    ASSERT_TRUE(Store->append({1, 1}, markov::SolverKind::Exact, Diagram));
+    GoodBytes = Store->stats().FileBytes;
+  }
+  appendRawRecord(Path, recordWithSolverByte({2, 2}, 4));
+  auto Store = fdd::CacheStore::open(Path, &Error);
+  ASSERT_TRUE(Store) << Error;
+  EXPECT_EQ(Store->stats().CorruptRecordsDropped, 1u);
+  EXPECT_EQ(Store->stats().FileBytes, GoodBytes);
+  EXPECT_EQ(Store->stats().LiveRecords, 1u);
+  std::remove(Path.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // JSON
 //===----------------------------------------------------------------------===//
@@ -565,6 +676,27 @@ TEST(Session, RejectsBadRequestsWithoutDying) {
                                "\"inputs\":[{\"sw\":5}]}");
   EXPECT_TRUE(okOf(R)) << R.dump();
   EXPECT_EQ(Svc->errors(), sizeof(Bad) / sizeof(Bad[0]));
+}
+
+TEST(Session, RejectsTheRetiredModularExactSolver) {
+  // The multi-prime "modular-exact" engine is gone: naming it is an
+  // unknown solver, and the session keeps answering.
+  auto Svc = serve::Service::create({}, nullptr);
+  ASSERT_TRUE(Svc);
+  serve::Session S(*Svc);
+  serve::Json R = roundTrip(S, std::string("{\"verb\":\"compile\",") +
+                                   "\"program\":\"sw:=1\"," +
+                                   "\"solver\":\"modular-exact\"}");
+  EXPECT_FALSE(okOf(R)) << R.dump();
+  ASSERT_NE(R.find("error"), nullptr);
+  EXPECT_NE(R.find("error")->asString().find("unknown solver"),
+            std::string::npos)
+      << R.dump();
+  EXPECT_EQ(Svc->errors(), 1u);
+  serve::Json Next = roundTrip(S, "{\"verb\":\"query\",\"query\":"
+                                  "\"delivery\",\"program\":\"sw:=1\","
+                                  "\"inputs\":[{\"sw\":5}]}");
+  EXPECT_TRUE(okOf(Next)) << Next.dump();
 }
 
 TEST(Session, StatsGcAndShutdownVerbsWork) {

@@ -3,8 +3,9 @@
 /// \file
 /// BigInt unit and property tests. The property suites check BigInt
 /// arithmetic against native __int128 as an oracle on a grid of interesting
-/// values (including limb boundaries), and ring axioms on wide random
-/// values where no native oracle exists.
+/// values (including limb boundaries), ring axioms on wide random values
+/// where no native oracle exists, and the Lehmer gcd against a plain
+/// Euclidean reference.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -279,4 +281,169 @@ TEST(BigIntTest, HashConsistency) {
   BigInt B = BigInt::pow(BigInt(7), 40);
   EXPECT_EQ(A.hash(), B.hash());
   EXPECT_EQ(std::hash<BigInt>{}(A), A.hash());
+}
+
+//===----------------------------------------------------------------------===//
+// gcd: the Lehmer path against a one-division-per-step Euclid reference
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Reference gcd: the Euclidean loop BigInt::gcd ran before it gained its
+/// Lehmer windows, one full-precision division per step.
+BigInt euclidGcd(BigInt X, BigInt Y) {
+  X = X.abs();
+  Y = Y.abs();
+  while (!Y.isZero()) {
+    BigInt R = X % Y;
+    X = std::move(Y);
+    Y = std::move(R);
+  }
+  return X;
+}
+
+/// A nonnegative value of exactly \p Bits significant bits.
+BigInt randomBits(std::mt19937_64 &Rng, unsigned Bits) {
+  BigInt Value;
+  for (unsigned Done = 0; Done < Bits; Done += 64) {
+    unsigned Take = std::min(64u, Bits - Done);
+    uint64_t Word = Rng();
+    if (Take < 64)
+      Word &= (uint64_t(1) << Take) - 1;
+    Value = Value.shl(Take) + BigInt::fromUnsigned(Word);
+  }
+  // Force the top bit so the size is exact.
+  BigInt Top = BigInt(1).shl(Bits - 1);
+  if (Value < Top)
+    Value += Top;
+  return Value;
+}
+
+/// F_0 .. F_N (consecutive Fibonacci numbers are the Euclidean worst case:
+/// every quotient is 1).
+std::vector<BigInt> fibonacci(unsigned N) {
+  std::vector<BigInt> F{BigInt(0), BigInt(1)};
+  while (F.size() <= N)
+    F.push_back(F[F.size() - 1] + F[F.size() - 2]);
+  return F;
+}
+
+} // namespace
+
+TEST(BigIntGcdTest, MatchesEuclidAroundTheWordBoundary) {
+  // Both operands at 62..65 bits: the inline binary GCD (<= 63 bits), the
+  // Lehmer path (both > 62 bits) and the one-big-one-small word tail.
+  const unsigned Seed = 0x6C0D;
+  SCOPED_TRACE(::testing::Message() << "seed " << Seed);
+  std::mt19937_64 Rng(Seed);
+  for (unsigned ABits : {62u, 63u, 64u, 65u})
+    for (unsigned BBits : {62u, 63u, 64u, 65u})
+      for (int Round = 0; Round < 50; ++Round) {
+        BigInt A = randomBits(Rng, ABits), B = randomBits(Rng, BBits);
+        EXPECT_EQ(BigInt::gcd(A, B), euclidGcd(A, B))
+            << ABits << "/" << BBits << " round " << Round;
+      }
+}
+
+TEST(BigIntGcdTest, MatchesEuclidOnMultiLimbOperands) {
+  const unsigned Seed = 0x1E4E;
+  SCOPED_TRACE(::testing::Message() << "seed " << Seed);
+  std::mt19937_64 Rng(Seed);
+  const unsigned Sizes[] = {63, 64, 65, 96, 127, 128, 129,
+                            500, 1024, 2048, 4096, 8192};
+  for (unsigned ABits : Sizes)
+    for (unsigned BBits : Sizes) {
+      if (BBits > ABits)
+        continue;
+      BigInt A = randomBits(Rng, ABits), B = randomBits(Rng, BBits);
+      EXPECT_EQ(BigInt::gcd(A, B), euclidGcd(A, B)) << ABits << "/" << BBits;
+      EXPECT_EQ(BigInt::gcd(B, A), euclidGcd(A, B)) << BBits << "/" << ABits;
+    }
+}
+
+TEST(BigIntGcdTest, RecoversPlantedCommonFactors) {
+  const unsigned Seed = 0xFAC7;
+  SCOPED_TRACE(::testing::Message() << "seed " << Seed);
+  std::mt19937_64 Rng(Seed);
+  for (unsigned GBits : {1u, 30u, 62u, 63u, 64u, 65u, 200u, 3000u})
+    for (unsigned CofBits : {2u, 40u, 63u, 64u, 700u, 4000u}) {
+      BigInt G = randomBits(Rng, GBits);
+      BigInt A = G * randomBits(Rng, CofBits);
+      BigInt B = G * randomBits(Rng, CofBits / 2 + 1);
+      BigInt Got = BigInt::gcd(A, B);
+      EXPECT_EQ(Got, euclidGcd(A, B)) << GBits << "/" << CofBits;
+      EXPECT_EQ(Got % G, BigInt(0)) << GBits << "/" << CofBits;
+    }
+}
+
+TEST(BigIntGcdTest, MultiplesAndEqualOperands) {
+  const unsigned Seed = 0x3A11;
+  SCOPED_TRACE(::testing::Message() << "seed " << Seed);
+  std::mt19937_64 Rng(Seed);
+  for (unsigned Bits : {63u, 64u, 65u, 130u, 1000u, 8000u}) {
+    BigInt A = randomBits(Rng, Bits);
+    // One operand a multiple of the other, by small and huge multipliers.
+    for (unsigned KBits : {1u, 2u, 61u, 62u, 63u, 64u, 300u}) {
+      BigInt K = randomBits(Rng, KBits);
+      EXPECT_EQ(BigInt::gcd(A * K, A), A) << Bits << "/" << KBits;
+      EXPECT_EQ(BigInt::gcd(A, A * K), A) << Bits << "/" << KBits;
+    }
+    EXPECT_EQ(BigInt::gcd(A, A), A) << Bits;
+  }
+}
+
+TEST(BigIntGcdTest, SignsAndZero) {
+  const unsigned Seed = 0x5160;
+  SCOPED_TRACE(::testing::Message() << "seed " << Seed);
+  std::mt19937_64 Rng(Seed);
+  for (unsigned Bits : {62u, 64u, 65u, 200u, 2048u}) {
+    BigInt A = randomBits(Rng, Bits), B = randomBits(Rng, Bits - 1);
+    BigInt Expected = euclidGcd(A, B);
+    EXPECT_EQ(BigInt::gcd(-A, B), Expected) << Bits;
+    EXPECT_EQ(BigInt::gcd(A, -B), Expected) << Bits;
+    EXPECT_EQ(BigInt::gcd(-A, -B), Expected) << Bits;
+    EXPECT_EQ(BigInt::gcd(A, BigInt(0)), A) << Bits;
+    EXPECT_EQ(BigInt::gcd(BigInt(0), -A), A) << Bits;
+  }
+  EXPECT_EQ(BigInt::gcd(BigInt(0), BigInt(0)), BigInt(0));
+  // INT64_MIN's magnitude is 2^63, one past the inline range.
+  BigInt Min(INT64_MIN), TwoTo63 = BigInt(1).shl(63);
+  EXPECT_EQ(BigInt::gcd(Min, BigInt(0)), TwoTo63);
+  EXPECT_EQ(BigInt::gcd(Min, Min), TwoTo63);
+  EXPECT_EQ(BigInt::gcd(Min, BigInt(6)), BigInt(2));
+  EXPECT_EQ(BigInt::gcd(Min, TwoTo63.shl(100)), TwoTo63);
+  EXPECT_EQ(BigInt::gcd(Min, BigInt(INT64_MAX)), BigInt(1));
+}
+
+TEST(BigIntGcdTest, HugeQuotientStallsTheWindow) {
+  // R0 = B·2^k + r with k far beyond a window: B's bits lie entirely
+  // below R0's leading 62, so the first window certifies no quotient
+  // (B == 0 in the cofactor matrix) and the kernel must take an exact
+  // division step before windows can resume.
+  const unsigned Seed = 0x57A1;
+  SCOPED_TRACE(::testing::Message() << "seed " << Seed);
+  std::mt19937_64 Rng(Seed);
+  for (unsigned BBits : {63u, 64u, 100u, 700u})
+    for (unsigned QBits : {61u, 62u, 63u, 64u, 200u, 3000u}) {
+      BigInt B = randomBits(Rng, BBits);
+      BigInt R0 = B * randomBits(Rng, QBits) + randomBits(Rng, BBits - 1);
+      EXPECT_EQ(BigInt::gcd(R0, B), euclidGcd(R0, B))
+          << BBits << "/" << QBits;
+      // A planted common factor must survive the stalled step.
+      BigInt G = randomBits(Rng, 80);
+      EXPECT_EQ(BigInt::gcd(R0 * G, B * G), euclidGcd(R0, B) * G)
+          << BBits << "/" << QBits;
+    }
+}
+
+TEST(BigIntGcdTest, FibonacciPairs) {
+  // Consecutive Fibonacci numbers are coprime with every quotient 1 (the
+  // longest windows), and gcd(F_m, F_n) = F_gcd(m, n) plants a known
+  // multi-limb answer. F_11000 has ~7.6k bits.
+  std::vector<BigInt> F = fibonacci(11000);
+  for (unsigned N : {93u, 94u, 95u, 200u, 1000u, 11000u})
+    EXPECT_EQ(BigInt::gcd(F[N], F[N - 1]), BigInt(1)) << N;
+  EXPECT_EQ(BigInt::gcd(F[11000], F[8800]), F[2200]);
+  EXPECT_EQ(BigInt::gcd(F[9000], F[6000]), F[3000]);
+  EXPECT_EQ(BigInt::gcd(F[5000], F[3125]), F[625]);
 }
